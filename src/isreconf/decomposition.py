@@ -162,6 +162,18 @@ def _root_child_masks(g: Graph) -> tuple[str, list[int]]:
     return result
 
 
+def quotient_adjacency(g: Graph, masks: list[int]) -> list[int]:
+    """Bit j of row i is set iff module i sees module j; modules are disjoint.
+
+    A module sees all or nothing of another, so one member decides a row.
+    """
+    qadj = []
+    for i, mi in enumerate(masks):
+        row = g._adj[(mi & -mi).bit_length() - 1]
+        qadj.append(sum(1 << j for j, mj in enumerate(masks) if i != j and row & mj))
+    return qadj
+
+
 def md_tree(g: Graph) -> MDNode:
     """Modular decomposition tree of a nonempty graph."""
     if g.n == 0:

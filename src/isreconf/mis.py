@@ -1,11 +1,15 @@
-"""Maximum independent set by dynamic programming over the decomposition tree."""
+"""Maximum independent set by dynamic programming over the decomposition tree.
+
+Alpha and a witness position mask are kept in each module subgraph's memo,
+so they are computed once per module of a graph; prime quotients are solved
+by memoised branching, at worst ``2^width`` subproblems per prime node.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import MDNode, md_tree
-from .errors import InternalError
+from .decomposition import _root_child_masks, md_tree, quotient_adjacency
 from .graph import Graph, bits
 
 
@@ -18,67 +22,58 @@ class AlphaResult:
 def alpha(g: Graph) -> AlphaResult:
     """Size and witness of a maximum independent set.
 
-    Parallel nodes sum their children, series nodes keep the best child,
-    and a prime node with r children tries every child subset that is
-    independent in the quotient, so the cost is exponential only in the
-    largest prime fanout of the decomposition.
+    Parallel nodes sum their children and series nodes keep the first
+    best child.  A prime node with r children finds the heaviest
+    independent set of its quotient, each child weighted by its alpha, by
+    memoised branching on the highest child index: at most ``2^r``
+    subproblems.  Ties go to the fewest children, then to the numerically
+    smallest child-index mask, so witnesses are deterministic.
     """
     cached = g._memo.get("alpha")
+    if cached is None:
+        if g.n:
+            md_tree(g)  # decomposes every module subgraph and reserves the stack
+        size, mask = _alpha_node(g)
+        cached = g._memo["alpha"] = AlphaResult(size, g._idset(mask))
+    return cached
+
+
+def _alpha_node(g: Graph) -> tuple[int, int]:
+    """Size and position mask of a witness, memoised; disjoint children's masks add."""
+    if g.n <= 1:
+        return g.n, g._vmask
+    cached = g._memo.get("alpha_mask")
     if cached is not None:
         return cached
-    if g.n == 0:
-        result = AlphaResult(0, frozenset())
+    kind, masks = _root_child_masks(g)
+    parts = [_alpha_node(g._derive(m)) for m in masks]
+    if kind == "parallel":
+        result = (sum(p[0] for p in parts), sum(p[1] for p in parts))
+    elif kind == "series":
+        result = max(parts, key=lambda p: p[0])
     else:
-        result = _alpha_node(g, md_tree(g))
-    g._memo["alpha"] = result
+        result = _alpha_prime(g, masks, parts)
+    g._memo["alpha_mask"] = result
     return result
 
 
-def _alpha_node(g: Graph, node: MDNode) -> AlphaResult:
-    if node.kind == "leaf":
-        return AlphaResult(1, node.span)
-    parts = [_alpha_node(g, c) for c in node.children]
-    if node.kind == "parallel":
-        members: set[int] = set()
-        for part in parts:
-            members.update(part.witness)
-        return AlphaResult(sum(p.size for p in parts), frozenset(members))
-    if node.kind == "series":
-        best = parts[0]
-        for part in parts[1:]:
-            if part.size > best.size:
-                best = part
-        return best
-    return _alpha_prime(g, node, parts)
+def _alpha_prime(g: Graph, child_masks: list[int], parts: list[tuple[int, int]]) -> tuple[int, int]:
+    size, _, negm = _heaviest((1 << len(child_masks)) - 1, quotient_adjacency(g, child_masks),
+                              [p[0] for p in parts], {0: (0, 0, 0)})
+    return size, sum(parts[i][1] for i in bits(-negm))
 
 
-def _alpha_prime(g: Graph, node: MDNode, parts: list[AlphaResult]) -> AlphaResult:
-    r = len(node.children)
-    spans = [g._mask(c.span) for c in node.children]
-    reps = [(m & -m).bit_length() - 1 for m in spans]
-    # quotient adjacency over child indices; a module sees all or nothing
-    qadj = [0] * r
-    for i in range(r):
-        row = g._adj[reps[i]]
-        for j in range(r):
-            if i != j and row & spans[j]:
-                qadj[i] |= 1 << j
-    best_size = -1
-    best_mask = 0
-    for mask in sorted(range(1, 1 << r), key=lambda m: (m.bit_count(), m)):
-        ok = True
-        total = 0
-        for i in bits(mask):
-            if qadj[i] & mask:
-                ok = False
-                break
-            total += parts[i].size
-        if ok and total > best_size:
-            best_size = total
-            best_mask = mask
-    if best_size < 1:
-        raise InternalError("prime quotient search found no independent set")
-    members: set[int] = set()
-    for i in bits(best_mask):
-        members.update(parts[i].witness)
-    return AlphaResult(best_size, frozenset(members))
+def _heaviest(cand: int, qadj: list[int], sizes: list[int], memo: dict) -> tuple[int, int, int]:
+    """Largest (weight, -count, -mask) over the independent subsets of cand."""
+    hit = memo.get(cand)
+    if hit is not None:
+        return hit
+    i = cand.bit_length() - 1
+    bit = 1 << i
+    rest = cand ^ bit
+    w, negc, negm = _heaviest(rest & ~qadj[i], qadj, sizes, memo)
+    res = (w + sizes[i], negc - 1, negm - bit)
+    if qadj[i] & rest:  # else taking child i outweighs every set without it
+        res = max(res, _heaviest(rest, qadj, sizes, memo))
+    memo[cand] = res
+    return res

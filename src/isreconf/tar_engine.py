@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from . import stats
-from .decomposition import is_module, nd_partition, top_partition
+from .decomposition import is_module, nd_partition, quotient_adjacency, top_partition
 from .errors import InputError, InternalError
 from .graph import Graph, bits, reserve_stack
 from .mis import AlphaResult, alpha
@@ -72,12 +72,7 @@ def lambda_nd(g: Graph, seed, k: int) -> LambdaResult:
     nc = len(classes)
     masks = [g2._mask(c) for c in classes]
     sizes = [len(c) for c in classes]
-    qadj = [0] * nc
-    for i in range(nc):
-        row = g2._adj[(masks[i] & -masks[i]).bit_length() - 1]
-        for j in range(nc):
-            if i != j and row & masks[j]:
-                qadj[i] |= 1 << j
+    qadj = quotient_adjacency(g2, masks)
 
     sat_moves: list[Move] = []
     start_state = 0

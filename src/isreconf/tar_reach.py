@@ -11,7 +11,7 @@ Every yes answer carries a replayable witness sequence.
 from __future__ import annotations
 
 from . import stats
-from .decomposition import is_module, nd_partition, top_partition
+from .decomposition import is_module, nd_partition, quotient_adjacency, top_partition
 from .errors import InputError, InternalError
 from .graph import Graph, bits, reserve_stack
 from .mis import alpha
@@ -108,12 +108,7 @@ def _aux_reach_rope(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> M
     nc = len(classes)
     masks = [g._mask(c) for c in classes]
     sizes = [len(c) for c in classes]
-    qadj = [0] * nc
-    for i in range(nc):
-        row = g._adj[(masks[i] & -masks[i]).bit_length() - 1]
-        for j in range(nc):
-            if i != j and row & masks[j]:
-                qadj[i] |= 1 << j
+    qadj = quotient_adjacency(g, masks)
 
     def saturate(side: frozenset[int]) -> tuple[int, int, list[Move]]:
         state = 0

@@ -1,6 +1,9 @@
+import pytest
 from hypothesis import given, settings
 
-from isreconf import Graph, alpha, brute_alpha
+from isreconf import (AlphaResult, GenProfile, Graph, InternalError, alpha, brute_alpha,
+                      gen_instance, md_tree, mis, top_partition)
+from isreconf.graph import bits
 
 from helpers import complete_graph, cycle_graph, edgeless_graph, graphs
 
@@ -31,3 +34,101 @@ def test_alpha_matches_brute_force_and_witness_checks(g):
     assert result.size == brute_alpha(g)
     assert g.is_independent(result.witness)
     assert len(result.witness) == result.size
+
+
+# -- reference: the decomposition walk with the sorted 2^r quotient enumeration
+
+
+def _reference_alpha(g):
+    if g.n == 0:
+        return AlphaResult(0, frozenset())
+    return _ref_alpha_node(g, md_tree(g))
+
+
+def _ref_alpha_node(g, node):
+    if node.kind == "leaf":
+        return AlphaResult(1, node.span)
+    parts = [_ref_alpha_node(g, c) for c in node.children]
+    if node.kind == "parallel":
+        members = set()
+        for part in parts:
+            members.update(part.witness)
+        return AlphaResult(sum(p.size for p in parts), frozenset(members))
+    if node.kind == "series":
+        best = parts[0]
+        for part in parts[1:]:
+            if part.size > best.size:
+                best = part
+        return best
+    return _ref_alpha_prime(g, node, parts)
+
+
+def _ref_alpha_prime(g, node, parts):
+    r = len(node.children)
+    spans = [g._mask(c.span) for c in node.children]
+    reps = [(m & -m).bit_length() - 1 for m in spans]
+    # quotient adjacency over child indices; a module sees all or nothing
+    qadj = [0] * r
+    for i in range(r):
+        row = g._adj[reps[i]]
+        for j in range(r):
+            if i != j and row & spans[j]:
+                qadj[i] |= 1 << j
+    best_size = -1
+    best_mask = 0
+    for mask in sorted(range(1, 1 << r), key=lambda m: (m.bit_count(), m)):
+        ok = True
+        total = 0
+        for i in bits(mask):
+            if qadj[i] & mask:
+                ok = False
+                break
+            total += parts[i].size
+        if ok and total > best_size:
+            best_size = total
+            best_mask = mask
+    if best_size < 1:
+        raise InternalError("prime quotient search found no independent set")
+    members = set()
+    for i in bits(best_mask):
+        members.update(parts[i].witness)
+    return AlphaResult(best_size, frozenset(members))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=0, max_n=10))
+def test_alpha_witness_matches_reference_small(g):
+    assert alpha(g) == _reference_alpha(g)
+
+
+@pytest.mark.parametrize("n,width", [(80, 6), (110, 8), (150, 10)])
+@pytest.mark.parametrize("seed", range(4))
+def test_alpha_witness_matches_reference_generated(seed, n, width):
+    g, _, _, _ = gen_instance(seed, GenProfile(n=n, width=width))
+    assert alpha(g) == _reference_alpha(g)
+
+
+def _prime_nodes(node):
+    own = 1 if node.kind == "prime" else 0
+    return own + sum(_prime_nodes(c) for c in node.children)
+
+
+def test_alpha_solves_each_prime_node_once(monkeypatch):
+    g, _, _, _ = gen_instance(5, GenProfile(n=150, width=10))
+    calls = []
+    real = mis._alpha_prime
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mis, "_alpha_prime", counted)
+    subs = [g._derive(g._mask(part)) for part in top_partition(g)]
+    alpha(max(subs, key=lambda sub: sub.n))  # a module solved before its parent
+    alpha(g)
+    primes = _prime_nodes(md_tree(g))
+    assert primes > 1
+    assert len(calls) == primes
+    for sub in subs:
+        alpha(sub)
+    assert len(calls) == primes
