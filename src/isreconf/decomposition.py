@@ -44,14 +44,13 @@ def is_module(g: Graph, module: frozenset[int] | set[int]) -> bool:
     m = g._mask(module)
     if m == 0:
         raise InputError("a module must be nonempty")
-    outside = None
-    for p in bits(m):
-        nb = g._adj[p] & ~m
-        if outside is None:
-            outside = nb
-        elif nb != outside:
-            return False
-    return True
+    return _is_module_mask(g, m)
+
+
+def _is_module_mask(g: Graph, m: int) -> bool:
+    adj = g._adj
+    outside = adj[(m & -m).bit_length() - 1] & ~m
+    return all(adj[p] & ~m == outside for p in bits(m))
 
 
 def _min_module(g: Graph, seed: int) -> int:
@@ -136,7 +135,7 @@ def _prime_child_masks(g: Graph) -> list[int]:
     children.sort(key=lambda m: (m & -m))
     total = 0
     for c in children:
-        if not is_module(g, g._idset(c)):
+        if not _is_module_mask(g, c):
             raise InternalError("prime split produced a non-module part")
         total |= c
     if total != live or len(children) < 2:

@@ -17,7 +17,7 @@ def parse_graph(text: str) -> Graph:
     out-of-range endpoints are rejected with the offending line number.
     """
     n = None
-    edges: list[tuple[int, int]] = []
+    adj: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -35,6 +35,7 @@ def parse_graph(text: str) -> Graph:
                 raise InputError(f"line {lineno}: malformed problem line") from None
             if n < 0:
                 raise InputError(f"line {lineno}: negative vertex count")
+            adj = [0] * n
         elif fields[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge before the problem line")
@@ -48,12 +49,13 @@ def parse_graph(text: str) -> Graph:
                 raise InputError(f"line {lineno}: self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InputError(f"line {lineno}: vertex out of range 1..{n}")
-            edges.append((u, v))
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
         else:
             raise InputError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise InputError("missing problem line 'p edge <n> <m>'")
-    return Graph(range(1, n + 1), edges)
+    return Graph._from_adj(list(range(1, n + 1)), adj)
 
 
 def emit_graph(g: Graph) -> str:

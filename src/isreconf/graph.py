@@ -181,12 +181,11 @@ class Graph:
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         """True iff no edge joins two of the given vertices."""
-        m = self._mask(vertices)
+        return self._independent(self._mask(vertices))
+
+    def _independent(self, m: int) -> bool:
         adj = self._adj
-        for p in bits(m):
-            if adj[p] & m:
-                return False
-        return True
+        return not any(adj[p] & m for p in bits(m))
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by smallest member ID."""

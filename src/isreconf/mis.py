@@ -31,10 +31,19 @@ def alpha(g: Graph) -> AlphaResult:
     """
     cached = g._memo.get("alpha")
     if cached is None:
-        if g.n:
-            md_tree(g)  # decomposes every module subgraph and reserves the stack
-        size, mask = _alpha_node(g)
+        size, mask = _alpha_mask(g)
         cached = g._memo["alpha"] = AlphaResult(size, g._idset(mask))
+    return cached
+
+
+def _alpha_mask(g: Graph) -> tuple[int, int]:
+    """Alpha and the witness as a position mask; the solvers' form of ``alpha``."""
+    if g.n <= 1:
+        return g.n, g._vmask
+    cached = g._memo.get("alpha_mask")
+    if cached is None:
+        md_tree(g)  # decomposes every module subgraph and reserves the stack
+        cached = _alpha_node(g)
     return cached
 
 

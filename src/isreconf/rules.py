@@ -112,14 +112,24 @@ class ReconfSequence:
 def step_valid(rule: Rule, g: Graph, current: frozenset[int], move: Move) -> frozenset[int]:
     """Apply one move; return the successor set or raise RuleViolation."""
     cur = g._mask(current)
-    if not g.is_independent(current):
+    if not g._independent(cur):
         raise InputError("current set is not independent")
+    return g._idset(_apply(rule, g, cur, move))
+
+
+def _position(g: Graph, v) -> int:
+    p = g._pos.get(v)
+    if p is None or not (g._vmask >> p) & 1:
+        raise InputError(f"unknown vertex id {v!r}")
+    return p
+
+
+def _apply(rule: Rule, g: Graph, cur: int, move: Move) -> int:
+    """One move on the position mask of an independent set; the successor mask."""
     if move.op in ("add", "remove"):
         if rule.kind != TAR:
             raise RuleViolation(f"{move.op} moves are only legal under TAR")
-        p = g._pos.get(move.v)
-        if p is None or not (g._vmask >> p) & 1:
-            raise InputError(f"unknown vertex id {move.v!r}")
+        p = _position(g, move.v)
         bit = 1 << p
         if move.op == "add":
             if cur & bit:
@@ -128,52 +138,59 @@ def step_valid(rule: Rule, g: Graph, current: frozenset[int], move: Move) -> fro
                 raise RuleViolation(f"adding {move.v} breaks independence")
             if cur.bit_count() < rule.k:
                 raise RuleViolation(f"set size fell below the floor {rule.k}")
-            return current | {move.v}
+            return cur | bit
         if not cur & bit:
             raise RuleViolation(f"vertex {move.v} holds no token to remove")
         if cur.bit_count() - 1 < rule.k:
             raise RuleViolation(f"removal would drop below the floor {rule.k}")
-        return current - {move.v}
+        return cur ^ bit
 
     if move.op == "jump" and rule.kind != TJ:
         raise RuleViolation("jump moves are only legal under TJ")
     if move.op == "slide" and rule.kind != TS:
         raise RuleViolation("slide moves are only legal under TS")
     u, v = move.u, move.v
-    pu = g._pos.get(u)
-    pv = g._pos.get(v)
-    if pu is None or not (g._vmask >> pu) & 1:
-        raise InputError(f"unknown vertex id {u!r}")
-    if pv is None or not (g._vmask >> pv) & 1:
-        raise InputError(f"unknown vertex id {v!r}")
+    pu = _position(g, u)
+    pv = _position(g, v)
     if not cur & (1 << pu):
         raise RuleViolation(f"vertex {u} holds no token to move")
     if cur & (1 << pv):
         raise RuleViolation(f"vertex {v} already holds a token")
-    if g._adj[pv] & (cur & ~(1 << pu)):
+    rest = cur & ~(1 << pu)
+    if g._adj[pv] & rest:
         raise RuleViolation(f"moving the token to {v} breaks independence")
     if move.op == "slide" and not g._adj[pu] & (1 << pv):
         raise RuleViolation(f"slide endpoints {u},{v} are not adjacent")
-    return (current - {u}) | {v}
+    return rest | (1 << pv)
 
 
 def verify_sequence(g: Graph, seq: ReconfSequence) -> frozenset[int]:
     """Replay a sequence; return the final set or raise SequenceError.
 
     The first illegal move aborts verification; its 1-based index and the
-    violated clause are reported.
+    violated clause are reported.  The start is checked once (known IDs,
+    independent, at the TAR floor); each move then costs a constant number
+    of mask operations, so replay is linear in the sequence length.  The
+    current set stays independent by induction, because every move checks
+    the vertex gaining a token against the tokens that stay.
     """
-    if not g.is_independent(seq.start):
+    return g._idset(_replay(g, seq))
+
+
+def _replay(g: Graph, seq: ReconfSequence) -> int:
+    """verify_sequence on position masks: the final set's mask."""
+    cur = g._mask(seq.start)
+    if not g._independent(cur):
         raise InputError("start set is not independent")
-    if seq.rule.kind == TAR and len(seq.start) < seq.rule.k:
+    rule = seq.rule
+    if rule.kind == TAR and len(seq.start) < rule.k:
         raise InputError("start set is below the TAR floor")
-    current = frozenset(seq.start)
     for i, move in enumerate(seq.moves, start=1):
         try:
-            current = step_valid(seq.rule, g, current, move)
+            cur = _apply(rule, g, cur, move)
         except (RuleViolation, InputError) as exc:
             raise SequenceError(i, str(exc)) from None
-    return current
+    return cur
 
 
 def tj_threshold(s: frozenset[int] | set[int]) -> int:

@@ -12,12 +12,12 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from . import stats
-from .decomposition import is_module, nd_partition, quotient_adjacency, top_partition
+from .decomposition import _root_child_masks, is_module, nd_partition, quotient_adjacency
 from .errors import InputError, InternalError
 from .graph import Graph, bits, reserve_stack
-from .mis import AlphaResult, alpha
+from .mis import _alpha_mask, alpha
 from .moveseq import EMPTY, MoveRope, adds, removes
-from .rules import Move, ReconfSequence, Rule, verify_sequence
+from .rules import Move, ReconfSequence, Rule, _replay
 
 
 class LambdaResult:
@@ -181,9 +181,8 @@ class EngineState:
                 covered |= pm
         if covered != h._vmask or h._vmask & ~g._vmask:
             raise InternalError("pool and live parts do not partition V(H)")
-        final = verify_sequence(g, ReconfSequence(Rule.tar(max(self.k, 0)),
-                                                  self.seed, self.rope.flatten()))
-        if g._mask(final) != r:
+        if _replay(g, ReconfSequence(Rule.tar(max(self.k, 0)), self.seed,
+                                     self.rope.flatten())) != r:
             raise InternalError("accumulated sequence does not end at R")
         empties = sum(1 for x in self.live if not x)
         if self.pool and len(nd_partition(h._derive(self.pool))) > empties:
@@ -201,9 +200,8 @@ class EngineState:
                 raise InternalError("live part lost all tokens")
             part_g = g._derive(pm)
             seed_i = g._idset(g._mask(self.seed) & pm)
-            final_i = verify_sequence(part_g, ReconfSequence(
-                Rule.tar(max(self.thr[i], 0)), seed_i, self.mod_ropes[i].flatten()))
-            if part_g._mask(final_i) != r & pm:
+            if _replay(part_g, ReconfSequence(Rule.tar(max(self.thr[i], 0)), seed_i,
+                                              self.mod_ropes[i].flatten())) != r & pm:
                 raise InternalError("per-module sequence does not end at its slice")
 
 
@@ -218,13 +216,14 @@ def _entry(tables, i: int, j: int) -> LambdaResult:
 
 
 def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[int],
-                     tables, alphas: list[AlphaResult], check: bool = False) -> LambdaResult:
+                     tables, alphas: list[tuple[int, int]], check: bool = False) -> LambdaResult:
+    """The rule loop; ``alphas`` holds each part's alpha and witness mask."""
     st = EngineState(g, k, seed, part_masks)
 
     # preprocessing: dump seed-free parts, splice seeded parts to their table optimum
     for i, pm in enumerate(part_masks):
         if st.r & pm == 0:
-            amask = g._mask(alphas[i].witness)
+            amask = alphas[i][1]
             dead = pm & ~amask
             if dead:
                 st.h = st.h._derive(st.h._vmask & ~dead)
@@ -249,7 +248,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[in
         # Rule 1: a live part whose slice is already a maximum independent
         # set of the part is frozen there; survivors join the pool.
         for i, pm in enumerate(part_masks):
-            if st.live[i] and (st.r & pm).bit_count() == alphas[i].size:
+            if st.live[i] and (st.r & pm).bit_count() == alphas[i][0]:
                 dead = pm & ~st.r
                 if dead:
                     st.h = st.h._derive(st.h._vmask & ~dead)
@@ -299,12 +298,12 @@ def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[in
             j = k - (st.r & ~pm).bit_count()
             cur = (st.r & pm).bit_count()
             if j <= 0:
-                if alphas[i].size > cur:
-                    delta = MoveRope.cat(removes(g._idset(st.r & pm)),
-                                         adds(alphas[i].witness))
+                size, amask = alphas[i]
+                if size > cur:
+                    delta = MoveRope.cat(removes(g._idset(st.r & pm)), adds(g._idset(amask)))
                     st.rope = MoveRope.cat(st.rope, delta)
                     st.mod_ropes[i] = MoveRope.cat(st.mod_ropes[i], delta)
-                    st.r = (st.r & ~pm) | g._mask(alphas[i].witness)
+                    st.r = (st.r & ~pm) | amask
                     st.thr[i] = 0
                     applied = True
                     break
@@ -355,13 +354,12 @@ def _make_solver(g: Graph, seed: frozenset[int], check: bool = False) -> Callabl
         if g.n <= 2 or g.m == 0:
             ctx.append(("nd",))
             return ctx[0]
-        parts = top_partition(g)
-        if all(len(p) == 1 for p in parts):
+        _, part_masks = _root_child_masks(g)
+        if all(pm.bit_count() == 1 for pm in part_masks):
             ctx.append(("nd",))
             return ctx[0]
-        part_masks = [g._mask(p) for p in parts]
         subs = [g._derive(pm) for pm in part_masks]
-        alphas = [alpha(sub) for sub in subs]
+        alphas = [_alpha_mask(sub) for sub in subs]
         smask = g._mask(seed)
         tables: list = []
         for sub, pm in zip(subs, part_masks):
@@ -419,7 +417,7 @@ def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
     if covered != g.vertices:
         raise InputError("parts must cover the vertex set")
     part_masks = [g._mask(p) for p in parts]
-    alphas = [alpha(g._derive(pm)) for pm in part_masks]
+    alphas = [_alpha_mask(g._derive(pm)) for pm in part_masks]
     return _lambda_step_raw(g, k, seed, part_masks, tables, alphas, check)
 
 

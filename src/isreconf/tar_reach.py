@@ -11,10 +11,10 @@ Every yes answer carries a replayable witness sequence.
 from __future__ import annotations
 
 from . import stats
-from .decomposition import is_module, nd_partition, quotient_adjacency, top_partition
+from .decomposition import _root_child_masks, is_module, nd_partition, quotient_adjacency
 from .errors import InputError, InternalError
 from .graph import Graph, bits, reserve_stack
-from .mis import alpha
+from .mis import _alpha_mask, alpha
 from .moveseq import EMPTY, MoveRope, adds, removes
 from .rules import Move, ReconfSequence, Rule, tj_threshold
 from .tar_engine import lambda_single
@@ -230,8 +230,7 @@ def _reach_tar(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRo
 
     comp_masks = g._component_masks()
     if len(comp_masks) == 1:
-        parts = top_partition(g)
-        part_masks = [g._mask(p) for p in parts]
+        _, part_masks = _root_child_masks(g)
         pick = None
         for i, pm in enumerate(part_masks):
             for p in bits(pm):
@@ -242,7 +241,8 @@ def _reach_tar(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRo
                 break
         if pick is None:
             return _reach_nd(g, k, s, t)
-        module = parts[pick]
+        pm = part_masks[pick]
+        module = g._idset(pm)
         es = _empty_module_rope(g, s, module, k)
         et = _empty_module_rope(g, t, module, k)
         if (es is None) != (et is None):
@@ -250,18 +250,18 @@ def _reach_tar(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRo
         if es is not None:
             s2, rs = es
             t2, rt = et
-            witness = alpha(g._derive(part_masks[pick])).witness
-            g2 = g.delete_vertices(module - witness)
-            stats.inc("nodes_deleted", len(module) - len(witness))
+            dead = pm & ~_alpha_mask(g._derive(pm))[1]
+            g2 = g._derive(g._vmask & ~dead)
+            stats.inc("nodes_deleted", dead.bit_count())
             if g2.n >= g.n:
                 raise InternalError("module reduction failed to shrink the graph")
             sub = _reach_tar(g2, k, s2, t2)
             if sub is None:
                 return None
             return MoveRope.cat(MoveRope.cat(rs, sub), MoveRope.rev(rt))
-        fence = g.neighborhood(module)
-        g2 = g.delete_vertices(fence)
-        stats.inc("nodes_deleted", len(fence))
+        fence = g._adj[(pm & -pm).bit_length() - 1] & ~pm  # a module's members share it
+        g2 = g._derive(g._vmask & ~fence)
+        stats.inc("nodes_deleted", fence.bit_count())
         if g2.n >= g.n:
             raise InternalError("connected graph had a module with no neighborhood")
         return _reach_tar(g2, k, s, t)

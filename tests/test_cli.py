@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isreconf import InputError
+from isreconf import Graph, InputError
 from isreconf.cli import main
 from isreconf.dimacs import emit_graph, parse_graph
 
@@ -54,6 +54,14 @@ def test_round_trip_random_graphs():
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 12), 0.4)
         assert parse_graph(emit_graph(g)) == g
+        # shuffled lines, flipped endpoints and repeated edges parse to the same masks
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in g.edges()]
+        edges += rng.sample(edges, len(edges) // 2)
+        rng.shuffle(edges)
+        text = f"p edge {g.n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+        parsed = parse_graph(text)
+        assert parsed == Graph(range(1, g.n + 1), edges) == g
+        assert parsed._adj == g._adj and parsed._uid == g._uid
 
 
 def test_solve_tar_frozen_c4(tmp_path, capsys):

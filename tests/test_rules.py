@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from isreconf import (InputError, Move, ReconfSequence, Rule, RuleViolation,
                       SequenceError, step_valid, tj_threshold, verify_sequence)
+from isreconf.rules import TAR, TJ, TS
 
-from helpers import cycle_graph, graph_with_set, path_graph
+from helpers import cycle_graph, graph_with_set, graphs, path_graph, random_independent_set
 
 
 def p3():
@@ -47,6 +48,13 @@ def test_step_valid_move_kind_must_match_rule():
         step_valid(Rule.tar(0), p3(), frozenset({1}), Move.jump(1, 3))
     with pytest.raises(RuleViolation):
         step_valid(Rule.tj(), p3(), frozenset({1}), Move.slide(1, 2))
+
+
+def test_step_valid_rejects_dependent_current():
+    with pytest.raises(InputError, match="current set is not independent"):
+        step_valid(Rule.tar(0), p3(), frozenset({1, 2}), Move.remove(1))
+    with pytest.raises(InputError, match="current set is not independent"):
+        step_valid(Rule.ts(), cycle_graph([1, 2, 3, 4]), frozenset({1, 3, 4}), Move.slide(1, 2))
 
 
 def test_step_valid_slide_needs_edge():
@@ -96,32 +104,41 @@ def _random_walk(rng, g, start, rule, length):
     current = set(start)
     moves = []
     for _ in range(length):
-        options = []
-        if rule.kind == "tar":
-            if len(current) - 1 >= rule.k:
-                options += [Move.remove(v) for v in current]
-            for v in g.ids:
-                if v not in current and not g.neighborhood({v}) & current:
-                    options.append(Move.add(v))
-        else:
-            for u in current:
-                rest = current - {u}
-                targets = g.neighbors(u) if rule.kind == "ts" else set(g.ids)
-                for v in targets:
-                    if v not in current and not g.neighborhood({v}) & rest:
-                        options.append(Move.jump(u, v) if rule.kind == "tj" else Move.slide(u, v))
+        options = _legal_moves(g, current, rule)
         if not options:
             break
         move = rng.choice(options)
         moves.append(move)
-        if move.op == "add":
-            current.add(move.v)
-        elif move.op == "remove":
-            current.discard(move.v)
-        else:
-            current.discard(move.u)
-            current.add(move.v)
+        _play(current, move)
     return tuple(moves), frozenset(current)
+
+
+def _legal_moves(g, current, rule):
+    options = []
+    if rule.kind == "tar":
+        if len(current) - 1 >= rule.k:
+            options += [Move.remove(v) for v in current]
+        for v in g.ids:
+            if v not in current and not g.neighborhood({v}) & current:
+                options.append(Move.add(v))
+    else:
+        for u in current:
+            rest = current - {u}
+            targets = g.neighbors(u) if rule.kind == "ts" else set(g.ids)
+            for v in targets:
+                if v not in current and not g.neighborhood({v}) & rest:
+                    options.append(Move.jump(u, v) if rule.kind == "tj" else Move.slide(u, v))
+    return options
+
+
+def _play(current, move):
+    if move.op == "add":
+        current.add(move.v)
+    elif move.op == "remove":
+        current.discard(move.v)
+    else:
+        current.discard(move.u)
+        current.add(move.v)
 
 
 @settings(max_examples=80, deadline=None)
@@ -161,3 +178,115 @@ def test_tj_walks_convert_to_tar_pairs(pair, seed):
         paired += [Move.remove(m.u), Move.add(m.v)]
     assert verify_sequence(
         g, ReconfSequence(Rule.tar(tj_threshold(s)), s, tuple(paired))) == final
+
+
+# -- reference: the set-based replay that rebuilt the current set every move
+
+
+def _ref_step_valid(rule, g, current, move):
+    """Apply one move; return the successor set or raise RuleViolation."""
+    cur = g._mask(current)
+    if not g.is_independent(current):
+        raise InputError("current set is not independent")
+    if move.op in ("add", "remove"):
+        if rule.kind != TAR:
+            raise RuleViolation(f"{move.op} moves are only legal under TAR")
+        p = g._pos.get(move.v)
+        if p is None or not (g._vmask >> p) & 1:
+            raise InputError(f"unknown vertex id {move.v!r}")
+        bit = 1 << p
+        if move.op == "add":
+            if cur & bit:
+                raise RuleViolation(f"vertex {move.v} already holds a token")
+            if g._adj[p] & cur:
+                raise RuleViolation(f"adding {move.v} breaks independence")
+            if cur.bit_count() < rule.k:
+                raise RuleViolation(f"set size fell below the floor {rule.k}")
+            return current | {move.v}
+        if not cur & bit:
+            raise RuleViolation(f"vertex {move.v} holds no token to remove")
+        if cur.bit_count() - 1 < rule.k:
+            raise RuleViolation(f"removal would drop below the floor {rule.k}")
+        return current - {move.v}
+
+    if move.op == "jump" and rule.kind != TJ:
+        raise RuleViolation("jump moves are only legal under TJ")
+    if move.op == "slide" and rule.kind != TS:
+        raise RuleViolation("slide moves are only legal under TS")
+    u, v = move.u, move.v
+    pu = g._pos.get(u)
+    pv = g._pos.get(v)
+    if pu is None or not (g._vmask >> pu) & 1:
+        raise InputError(f"unknown vertex id {u!r}")
+    if pv is None or not (g._vmask >> pv) & 1:
+        raise InputError(f"unknown vertex id {v!r}")
+    if not cur & (1 << pu):
+        raise RuleViolation(f"vertex {u} holds no token to move")
+    if cur & (1 << pv):
+        raise RuleViolation(f"vertex {v} already holds a token")
+    if g._adj[pv] & (cur & ~(1 << pu)):
+        raise RuleViolation(f"moving the token to {v} breaks independence")
+    if move.op == "slide" and not g._adj[pu] & (1 << pv):
+        raise RuleViolation(f"slide endpoints {u},{v} are not adjacent")
+    return (current - {u}) | {v}
+
+
+def _ref_verify_sequence(g, seq):
+    """Replay a sequence; return the final set or raise SequenceError."""
+    if not g.is_independent(seq.start):
+        raise InputError("start set is not independent")
+    if seq.rule.kind == TAR and len(seq.start) < seq.rule.k:
+        raise InputError("start set is below the TAR floor")
+    current = frozenset(seq.start)
+    for i, move in enumerate(seq.moves, start=1):
+        try:
+            current = _ref_step_valid(seq.rule, g, current, move)
+        except (RuleViolation, InputError) as exc:
+            raise SequenceError(i, str(exc)) from None
+    return current
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except SequenceError as exc:
+        return "SequenceError", exc.index, exc.reason
+    except (InputError, RuleViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _mixed_moves(rng, g, start, rule, length):
+    """Mostly legal moves for the rule, the rest of any kind, often on unknown IDs."""
+    ids = list(g.ids) + [0, g.n + 1]     # graphs() numbers vertices 1..n
+    current = set(start)
+    moves = []
+    for _ in range(length):
+        sound = current <= g.vertices and g.is_independent(current)
+        options = _legal_moves(g, current, rule) if sound else []
+        if options and rng.random() < 0.8:
+            move = rng.choice(options)
+        else:
+            op = rng.choice(("add", "remove", "jump", "slide"))
+            u = rng.choice(sorted(current)) if current and rng.random() < 0.5 else rng.choice(ids)
+            v = rng.choice(ids)
+            move = Move(op, v) if op in ("add", "remove") else Move(op, v, u)
+        moves.append(move)
+        _play(current, move)
+    return tuple(moves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8), st.integers(0, 2 ** 30))
+def test_mask_replay_matches_set_replay(g, seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.8:
+        start = random_independent_set(rng, g)
+    else:  # possibly dependent, possibly naming an unknown ID
+        start = frozenset(rng.sample(list(g.ids) + [0], rng.randint(0, g.n)))
+    for rule in [Rule.tar(k) for k in range(len(start) + 2)] + [Rule.tj(), Rule.ts()]:
+        moves = _mixed_moves(rng, g, start, rule, rng.randint(0, 12))
+        seq = ReconfSequence(rule, start, moves)
+        assert _outcome(verify_sequence, g, seq) == _outcome(_ref_verify_sequence, g, seq)
+        for move in moves[:3]:
+            assert (_outcome(step_valid, rule, g, start, move)
+                    == _outcome(_ref_step_valid, rule, g, start, move))
