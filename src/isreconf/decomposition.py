@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import stats
 from .errors import InputError, InternalError
 from .graph import Graph, bits, reserve_stack
 
@@ -47,10 +48,35 @@ def is_module(g: Graph, module: frozenset[int] | set[int]) -> bool:
     return _is_module_mask(g, m)
 
 
+def _module_mask(g: Graph, module) -> int:
+    """Position mask of a caller's module; InputError unless it is one."""
+    if not is_module(g, module):
+        raise InputError("given set is not a module")
+    return g._mask(module)
+
+
 def _is_module_mask(g: Graph, m: int) -> bool:
     adj = g._adj
-    outside = adj[(m & -m).bit_length() - 1] & ~m
+    outside = _fence(g, m)
     return all(adj[p] & ~m == outside for p in bits(m))
+
+
+def _fence(g: Graph, module: int) -> int:
+    """Outside neighbourhood of a module mask: one member's, as all members share it."""
+    return g._adj[(module & -module).bit_length() - 1] & ~module
+
+
+def _drop(h: Graph, dead: int) -> Graph:
+    """The module-shrink core: ``h`` without the position mask ``dead``.
+
+    Every lemma deletion (a module shrunk to a maximum independent set or
+    to its tokens, a module's fence dropped) runs through here and adds to
+    the ``nodes_deleted`` counter.
+    """
+    if not dead:
+        return h
+    stats.inc("nodes_deleted", dead.bit_count())
+    return h._derive(h._vmask & ~dead)
 
 
 def _min_module(g: Graph, seed: int) -> int:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import _root_child_masks, md_tree, quotient_adjacency
-from .graph import Graph, bits
+from .decomposition import _root_child_masks, quotient_adjacency
+from .graph import Graph, bits, reserve_stack
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def _alpha_mask(g: Graph) -> tuple[int, int]:
         return g.n, g._vmask
     cached = g._memo.get("alpha_mask")
     if cached is None:
-        md_tree(g)  # decomposes every module subgraph and reserves the stack
+        reserve_stack(g.n)  # _alpha_node recurses once per decomposition level
         cached = _alpha_node(g)
     return cached
 

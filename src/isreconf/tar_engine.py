@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from . import stats
-from .decomposition import _root_child_masks, is_module, nd_partition, quotient_adjacency
+from .decomposition import (_drop, _module_mask, _root_child_masks, is_module, nd_partition,
+                            quotient_adjacency)
 from .errors import InputError, InternalError
 from .graph import Graph, bits, reserve_stack
 from .mis import _alpha_mask, alpha
@@ -47,52 +48,64 @@ class LambdaResult:
 def lambda_nd(g: Graph, seed, k: int) -> LambdaResult:
     """Largest reachable set by search over twin-class-saturated sets.
 
-    Clique classes keep a single vertex (the seed's, if it has one).  The
-    remaining classes are edgeless, so every maximal reachable set is a
-    union of full classes; breadth-first search over those unions finds
-    the optimum, and the class-level path expands into single moves.
-    Exponential in the twin-class count only.
+    Clique classes keep a single vertex (the seed's, if it has one); the
+    rest are edgeless, so breadth-first search over unions of whole
+    classes finds the optimum, and the class path expands into single
+    moves.  The table engine's pool step and ``reach_nd`` run the same
+    search.  Exponential in the twin-class count only.
     """
     seed = frozenset(seed)
-    if not g.is_independent(seed):
+    smask = g._mask(seed)
+    if not g._independent(smask):
         raise InputError("seed set is not independent")
     if len(seed) < k:
         raise InputError(f"seed has {len(seed)} tokens, below the floor {k}")
-    floor = max(k, 0)
+    reached, rope = _class_search(g, max(k, 0), smask)
+    return LambdaResult(reached.bit_count(), g._idset(reached), seed, max(k, 0), rope)
 
-    drop: set[int] = set()
+
+def _class_search(g: Graph, floor: int, start: int,
+                  goal: int | None = None) -> tuple[int, MoveRope] | None:
+    """The class-union search behind ``lambda_nd``, Rule 2a and ``reach_nd``.
+
+    Clique classes first keep a single vertex (the start's, if it has
+    one), so every remaining class is edgeless and a token in a class can
+    always be joined by the rest of it.  Start and goal are saturated that
+    way, and breadth-first search runs over unions of whole classes that
+    keep at least ``floor`` tokens.  Without a goal it returns the first
+    largest union found, as a position mask, and the moves from ``start``;
+    with one (which must avoid the dropped clique vertices) it returns
+    ``goal`` and the moves to it, or None if no union path joins the two.
+    Exponential in the twin-class count only.
+    """
+    drop = 0
     for cl in nd_partition(g):
         if cl.kind == "clique" and len(cl.members) >= 2:
-            hit = cl.members & seed
-            keep = min(hit) if hit else min(cl.members)
-            drop.update(cl.members - {keep})
-    g2 = g.delete_vertices(drop) if drop else g
+            cm = g._mask(cl.members)
+            keep = cm & start or cm
+            drop |= cm & ~(keep & -keep)
+    if drop:
+        g = g._derive(g._vmask & ~drop)
+    classes = [g._mask(cl.members) for cl in nd_partition(g)]
+    sizes = [c.bit_count() for c in classes]
+    qadj = quotient_adjacency(g, classes)
 
-    classes = [cl.members for cl in nd_partition(g2)]
-    nc = len(classes)
-    masks = [g2._mask(c) for c in classes]
-    sizes = [len(c) for c in classes]
-    qadj = quotient_adjacency(g2, masks)
+    def saturate(side: int) -> tuple[int, list[Move]]:
+        state = sum(1 << i for i, c in enumerate(classes) if c & side)
+        return state, [Move.add(v) for i in bits(state) for v in g._ids(classes[i] & ~side)]
 
-    sat_moves: list[Move] = []
-    start_state = 0
-    start_size = 0
-    for i in range(nc):
-        if classes[i] & seed:
-            start_state |= 1 << i
-            start_size += sizes[i]
-            sat_moves.extend(Move.add(v) for v in sorted(classes[i] - seed))
-
-    parent: dict[int, tuple[int, int] | None] = {start_state: None}
-    best_state, best_size = start_state, start_size
-    queue = [start_state]
-    state_size = {start_state: start_size}
+    state, moves = saturate(start)
+    goal_state, goal_moves = saturate(goal) if goal is not None else (None, [])
+    best, best_size = state, sum(sizes[i] for i in bits(state))
+    parent: dict[int, tuple[int, int] | None] = {state: None}
+    state_size = {state: best_size}
+    queue = [state]
     head = 0
-    while head < len(queue):
+    while head < len(queue) and goal_state not in parent:
         state = queue[head]
         head += 1
         size = state_size[state]
-        for i in range(nc):
+        for i in range(len(classes)):
             bit = 1 << i
             if state & bit:
                 nsize = size - sizes[i]
@@ -110,23 +123,23 @@ def lambda_nd(g: Graph, seed, k: int) -> LambdaResult:
             state_size[nxt] = nsize
             queue.append(nxt)
             if nsize > best_size:
-                best_state, best_size = nxt, nsize
+                best, best_size = nxt, nsize
 
-    hops: list[tuple[int, int]] = []
-    at = best_state
+    at = best if goal is None else goal_state
+    if at not in parent:
+        return None
+    hops: list[list[Move]] = []
     while parent[at] is not None:
         prev, i = parent[at]
-        hops.append((at, i))
+        step = Move.add if at >> i & 1 else Move.remove
+        hops.append([step(v) for v in g._ids(classes[i])])
         at = prev
-    path_moves: list[Move] = []
-    for state, i in reversed(hops):
-        if state & (1 << i):
-            path_moves.extend(Move.add(v) for v in sorted(classes[i]))
-        else:
-            path_moves.extend(Move.remove(v) for v in sorted(classes[i]))
-    reached = frozenset().union(*(classes[i] for i in bits(best_state))) if best_state else frozenset()
-    rope = MoveRope.leaf(sat_moves + path_moves)
-    return LambdaResult(best_size, reached, seed, floor, rope)
+    for hop in reversed(hops):
+        moves.extend(hop)
+    rope = MoveRope.cat(MoveRope.leaf(moves), MoveRope.rev(MoveRope.leaf(goal_moves)))
+    if goal is not None:
+        return goal, rope
+    return sum(classes[i] for i in bits(best)), rope
 
 
 def shrink_module(g: Graph, seed, module, witness) -> Graph:
@@ -134,20 +147,22 @@ def shrink_module(g: Graph, seed, module, witness) -> Graph:
 
     Requires the seed's tokens inside the module to sit within the given
     witness; then every removed vertex is irrelevant and the largest
-    reachable size is unchanged for every floor.
+    reachable size is unchanged for every floor.  The deletion is the
+    solver's own ``_drop``, which its preprocessing and Rule 1 run.
     """
     module = frozenset(module)
     witness = frozenset(witness)
     seed = frozenset(seed)
-    if not is_module(g, module):
-        raise InputError("given set is not a module")
+    pm = _module_mask(g, module)
+    if not g._independent(g._mask(seed)):
+        raise InputError("seed set is not independent")
     if not witness <= module or not g.is_independent(witness):
         raise InputError("witness must be an independent subset of the module")
     if not (seed & module) <= witness:
         raise InputError("seed tokens inside the module must lie in the witness")
-    if len(witness) != alpha(g.induced_subgraph(module)).size:
+    if len(witness) != _alpha_mask(g._derive(pm))[0]:
         raise InputError("witness is not a maximum independent set of the module")
-    return g.delete_vertices(module - witness)
+    return _drop(g, pm & ~g._mask(witness))
 
 
 class EngineState:
@@ -223,12 +238,8 @@ def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[in
     # preprocessing: dump seed-free parts, splice seeded parts to their table optimum
     for i, pm in enumerate(part_masks):
         if st.r & pm == 0:
-            amask = alphas[i][1]
-            dead = pm & ~amask
-            if dead:
-                st.h = st.h._derive(st.h._vmask & ~dead)
-                stats.inc("nodes_deleted", dead.bit_count())
-            st.pool |= amask
+            st.h = _drop(st.h, pm & ~alphas[i][1])
+            st.pool |= alphas[i][1]
         else:
             st.live[i] = True
             st.thr[i] = (st.r & pm).bit_count()
@@ -249,10 +260,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[in
         # set of the part is frozen there; survivors join the pool.
         for i, pm in enumerate(part_masks):
             if st.live[i] and (st.r & pm).bit_count() == alphas[i][0]:
-                dead = pm & ~st.r
-                if dead:
-                    st.h = st.h._derive(st.h._vmask & ~dead)
-                    stats.inc("nodes_deleted", dead.bit_count())
+                st.h = _drop(st.h, pm & ~st.r)
                 st.pool |= pm & st.r
                 # tokens just entered the pool, so its floor window moved
                 st.thr0 = max(st.thr0, k - (st.r & ~st.pool).bit_count())
@@ -280,11 +288,11 @@ def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[in
         if f0:
             rf0 = st.r & f0
             floor0 = k - (st.r & ~f0).bit_count()
-            sub = lambda_nd(st.h._derive(f0), st.h._idset(rf0), max(floor0, 0))
-            if sub.size > rf0.bit_count():
+            reached, rope = _class_search(st.h._derive(f0), max(floor0, 0), rf0)
+            if reached.bit_count() > rf0.bit_count():
                 st.thr0 = max(floor0, 0)
-                st.rope = MoveRope.cat(st.rope, sub._rope)
-                st.r = (st.r & ~f0) | st.h._mask(sub.reached)
+                st.rope = MoveRope.cat(st.rope, rope)
+                st.r = (st.r & ~f0) | reached
                 stats.inc("rule_applications")
                 if check:
                     st.check()
@@ -351,7 +359,7 @@ def _make_solver(g: Graph, seed: frozenset[int], check: bool = False) -> Callabl
     def setup():
         if ctx:
             return ctx[0]
-        if g.n <= 2 or g.m == 0:
+        if g.n <= 2:
             ctx.append(("nd",))
             return ctx[0]
         _, part_masks = _root_child_masks(g)

@@ -10,14 +10,13 @@ Every yes answer carries a replayable witness sequence.
 
 from __future__ import annotations
 
-from . import stats
-from .decomposition import _root_child_masks, is_module, nd_partition, quotient_adjacency
+from .decomposition import _drop, _fence, _module_mask, _root_child_masks, nd_partition
 from .errors import InputError, InternalError
-from .graph import Graph, bits, reserve_stack
+from .graph import Graph, reserve_stack
 from .mis import _alpha_mask, alpha
 from .moveseq import EMPTY, MoveRope, adds, removes
-from .rules import Move, ReconfSequence, Rule, tj_threshold
-from .tar_engine import lambda_single
+from .rules import ReconfSequence, Rule, tj_threshold
+from .tar_engine import _class_search, lambda_single
 
 
 class ReachAnswer:
@@ -50,17 +49,16 @@ def _trivial_rope(s: frozenset[int], t: frozenset[int]) -> MoveRope:
     return MoveRope.cat(removes(s - t), adds(t - s))
 
 
-def _empty_module_rope(g: Graph, seed: frozenset[int], module: frozenset[int],
+def _empty_module_rope(g: Graph, seed: frozenset[int], module: int,
                        k: int) -> tuple[frozenset[int], MoveRope] | None:
-    if not seed & module:
+    if not g._mask(seed) & module:
         return seed, EMPTY
-    h = g.delete_vertices(g.neighborhood(module))
-    best = lambda_single(h, seed, max(k, 0))
-    outside = best.reached - module
-    if len(outside) < k:
+    best = lambda_single(g._derive(g._vmask & ~_fence(g, module)), seed, max(k, 0))
+    reached = g._mask(best.reached)
+    if (reached & ~module).bit_count() < k:
         return None
-    rope = MoveRope.cat(best._rope, removes(best.reached & module))
-    return outside, rope
+    rope = MoveRope.cat(best._rope, removes(g._idset(reached & module)))
+    return g._idset(reached & ~module), rope
 
 
 def empty_module(g: Graph, seed, module, k: int) -> tuple[frozenset[int], ReconfSequence] | None:
@@ -69,17 +67,16 @@ def empty_module(g: Graph, seed, module, k: int) -> tuple[frozenset[int], Reconf
     Works inside the subgraph that keeps only the module and its
     non-neighbors; any set reachable there while avoiding the module is
     reachable in the full graph, and conversely the largest reachable set
-    in that subgraph witnesses impossibility.
+    in that subgraph witnesses impossibility.  Both reachability solvers
+    run the same step on every module they try to vacate.
     """
     seed = frozenset(seed)
-    module = frozenset(module)
-    if not is_module(g, module):
-        raise InputError("given set is not a module")
+    pm = _module_mask(g, module)
     if not g.is_independent(seed):
         raise InputError("seed set is not independent")
     if len(seed) < k:
         raise InputError("seed is below the floor")
-    out = _empty_module_rope(g, seed, module, k)
+    out = _empty_module_rope(g, seed, pm, k)
     if out is None:
         return None
     final, rope = out
@@ -87,81 +84,23 @@ def empty_module(g: Graph, seed, module, k: int) -> tuple[frozenset[int], Reconf
 
 
 def reduce_empty_module(g: Graph, module, s, t) -> Graph:
-    """Shrink a module both sides avoid down to a maximum independent set."""
-    module = frozenset(module)
-    s = frozenset(s)
-    t = frozenset(t)
-    if not is_module(g, module):
-        raise InputError("given set is not a module")
-    if s & module or t & module:
+    """Shrink a module both sides avoid down to a maximum independent set.
+
+    The deletion is the one ``reach_tar`` applies after vacating a module
+    from both sides: ``_drop`` of the module's vertices outside its alpha
+    witness.
+    """
+    pm = _module_mask(g, module)
+    smask = g._mask(s)
+    tmask = g._mask(t)
+    if not g._independent(smask) or not g._independent(tmask):
+        raise InputError("both sets must be independent")
+    if (smask | tmask) & pm:
         raise InputError("both sets must avoid the module")
-    witness = alpha(g.induced_subgraph(module)).witness
-    return g.delete_vertices(module - witness)
+    return _drop(g, pm & ~g._mask(alpha(g._derive(pm)).witness))
 
 
 # -- twin-class reachability ----------------------------------------------------
-
-
-def _aux_reach_rope(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRope | None:
-    """Reachability over twin-class-saturated sets; all classes edgeless."""
-    classes = [cl.members for cl in nd_partition(g)]
-    nc = len(classes)
-    masks = [g._mask(c) for c in classes]
-    sizes = [len(c) for c in classes]
-    qadj = quotient_adjacency(g, masks)
-
-    def saturate(side: frozenset[int]) -> tuple[int, int, list[Move]]:
-        state = 0
-        size = 0
-        moves: list[Move] = []
-        for i in range(nc):
-            if classes[i] & side:
-                state |= 1 << i
-                size += sizes[i]
-                moves.extend(Move.add(v) for v in sorted(classes[i] - side))
-        return state, size, moves
-
-    s_state, s_size, s_sat = saturate(s)
-    t_state, _, t_sat = saturate(t)
-    parent: dict[int, tuple[int, int] | None] = {s_state: None}
-    state_size = {s_state: s_size}
-    queue = [s_state]
-    head = 0
-    while head < len(queue) and t_state not in parent:
-        state = queue[head]
-        head += 1
-        size = state_size[state]
-        for i in range(nc):
-            bit = 1 << i
-            if state & bit:
-                nsize = size - sizes[i]
-                if nsize < k:
-                    continue
-                nxt = state ^ bit
-            else:
-                if qadj[i] & state:
-                    continue
-                nxt = state | bit
-                nsize = size + sizes[i]
-            if nxt not in parent:
-                parent[nxt] = (state, i)
-                state_size[nxt] = nsize
-                queue.append(nxt)
-    if t_state not in parent:
-        return None
-    hops = []
-    at = t_state
-    while parent[at] is not None:
-        prev, i = parent[at]
-        hops.append((at, i))
-        at = prev
-    path: list[Move] = []
-    for state, i in reversed(hops):
-        if state & (1 << i):
-            path.extend(Move.add(v) for v in sorted(classes[i]))
-        else:
-            path.extend(Move.remove(v) for v in sorted(classes[i]))
-    return MoveRope.cat(MoveRope.leaf(s_sat + path), MoveRope.rev(MoveRope.leaf(t_sat)))
 
 
 def _reach_nd(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRope | None:
@@ -175,29 +114,25 @@ def _reach_nd(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRop
             target = cl.members
             break
     if target is None:
-        return _aux_reach_rope(g, k, s, t)
+        out = _class_search(g, k, g._mask(s), g._mask(t))
+        return None if out is None else out[1]
 
-    es = _empty_module_rope(g, s, target, k)
-    et = _empty_module_rope(g, t, target, k)
+    tm = g._mask(target)
+    es = _empty_module_rope(g, s, tm, k)
+    et = _empty_module_rope(g, t, tm, k)
     if (es is None) != (et is None):
         return None
     if es is not None:
         s2, rs = es
         t2, rt = et
-        keep = min(target)
-        g2 = g.delete_vertices(target - {keep})
-        stats.inc("nodes_deleted", len(target) - 1)
-        sub = _reach_nd(g2, k, s2, t2)
+        sub = _reach_nd(_drop(g, tm & (tm - 1)), k, s2, t2)  # keeps the lowest member
         if sub is None:
             return None
         return MoveRope.cat(MoveRope.cat(rs, sub), MoveRope.rev(rt))
     # neither side can vacate a clique: the single token inside is pinned
     if s & target != t & target:
         return None
-    closed = target | g.neighborhood(target)
-    g2 = g.delete_vertices(closed)
-    stats.inc("nodes_deleted", len(closed))
-    return _reach_nd(g2, k - 1, s - target, t - target)
+    return _reach_nd(_drop(g, tm | _fence(g, tm)), k - 1, s - target, t - target)
 
 
 def reach_nd(g: Graph, k: int, s, t) -> ReachAnswer:
@@ -231,37 +166,24 @@ def _reach_tar(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRo
     comp_masks = g._component_masks()
     if len(comp_masks) == 1:
         _, part_masks = _root_child_masks(g)
-        pick = None
-        for i, pm in enumerate(part_masks):
-            for p in bits(pm):
-                if g._adj[p] & pm:
-                    pick = i
-                    break
-            if pick is not None:
-                break
-        if pick is None:
+        pm = next((pm for pm in part_masks if not g._independent(pm)), None)
+        if pm is None:
             return _reach_nd(g, k, s, t)
-        pm = part_masks[pick]
-        module = g._idset(pm)
-        es = _empty_module_rope(g, s, module, k)
-        et = _empty_module_rope(g, t, module, k)
+        es = _empty_module_rope(g, s, pm, k)
+        et = _empty_module_rope(g, t, pm, k)
         if (es is None) != (et is None):
             return None
         if es is not None:
             s2, rs = es
             t2, rt = et
-            dead = pm & ~_alpha_mask(g._derive(pm))[1]
-            g2 = g._derive(g._vmask & ~dead)
-            stats.inc("nodes_deleted", dead.bit_count())
+            g2 = _drop(g, pm & ~_alpha_mask(g._derive(pm))[1])
             if g2.n >= g.n:
                 raise InternalError("module reduction failed to shrink the graph")
             sub = _reach_tar(g2, k, s2, t2)
             if sub is None:
                 return None
             return MoveRope.cat(MoveRope.cat(rs, sub), MoveRope.rev(rt))
-        fence = g._adj[(pm & -pm).bit_length() - 1] & ~pm  # a module's members share it
-        g2 = g._derive(g._vmask & ~fence)
-        stats.inc("nodes_deleted", fence.bit_count())
+        g2 = _drop(g, _fence(g, pm))
         if g2.n >= g.n:
             raise InternalError("connected graph had a module with no neighborhood")
         return _reach_tar(g2, k, s, t)

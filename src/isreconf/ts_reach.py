@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import stats
-from .decomposition import is_module, top_partition
+from .decomposition import _drop, _fence, _module_mask, top_partition
 from .errors import InputError
 from .graph import Graph, bits, reserve_stack
 
@@ -41,15 +40,12 @@ def ts_big_module(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozen
     s = frozenset(s)
     t = frozenset(t)
     module = frozenset(module)
-    if not is_module(g, module):
-        raise InputError("given set is not a module")
+    fence = _fence(g, _module_mask(g, module))
     if len(s & module) < 2:
         raise InputError("the module must hold at least two source tokens")
-    fence = g.neighborhood(module)
-    if t & fence:
+    if t & g._idset(fence):
         return None
-    stats.inc("nodes_deleted", len(fence))
-    return g.delete_vertices(fence), s, t
+    return _drop(g, fence), s, t
 
 
 def ts_shrink(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozenset[int], bool]:
@@ -63,8 +59,7 @@ def ts_shrink(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozenset[
     s = frozenset(s)
     t = frozenset(t)
     module = frozenset(module)
-    if not is_module(g, module):
-        raise InputError("given set is not a module")
+    _module_mask(g, module)  # raises unless the set is a module
     if len(s) != len(t):
         raise InputError("both sides must hold the same number of tokens")
     if len(s & module) > 1 or len(t & module) > 1:
@@ -78,16 +73,11 @@ def ts_shrink(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozenset[
         comp_of_u = next(c for c in g.induced_subgraph(module).components() if u in c)
         used_vacancy = v not in comp_of_u
         t = (t - {v}) | {u}
-        g = g.delete_vertices({v})
-        stats.inc("nodes_deleted")
+        g = _drop(g, g._mask(b))
         module = module - {v}
     keep_pool = module & (s | t)
     keep = min(keep_pool) if keep_pool else min(module)
-    doomed = module - {keep}
-    if doomed:
-        g = g.delete_vertices(doomed)
-        stats.inc("nodes_deleted", len(doomed))
-    return g, s, t, used_vacancy
+    return _drop(g, g._mask(module - {keep})), s, t, used_vacancy
 
 
 def ts_aux_decide(red: TsReduction) -> bool:
