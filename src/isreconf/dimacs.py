@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -10,15 +11,87 @@ from .graph import Graph
 from .rules import Rule, TAR, TJ, TS
 
 
+# Characters of text cut per chunk; each chunk ends just after a newline.
+_CHUNK_CHARS = 1 << 16
+# Every byte a chunk of plain `e <u> <v>` lines may hold.
+_PLAIN_BYTES = b"e0123456789 \t\n"
+
+
 def parse_graph(text: str) -> Graph:
     """Parse `c` comments, one `p edge <n> <m>` line, then `e <u> <v>` lines.
 
     Vertex IDs are 1-based; duplicate edges are merged; self-loops and
     out-of-range endpoints are rejected with the offending line number.
+    One pass over chunks of about 64K characters cut after a newline:
+    after the problem line, a chunk of nothing but plain `e <u> <v>` lines
+    is split once, its IDs looked up and range-checked and its self-loops
+    checked in bulk; any other chunk (the header, comments, blank lines,
+    other line ends, a bad line) goes line by line, with the same messages
+    and line numbers.  Memory beyond the text is the adjacency masks, one
+    chunk and an index from ID text to position, the size of the graph's
+    own ID index.
     """
     n = None
     adj: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    position = None             # "1".."n" -> 0..n-1, built for the first chunk after the header
+    lineno = 0
+    end = len(text)
+    start = 0
+    while start < end:
+        cut = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or end
+        chunk = text[start:cut]
+        start = cut
+        if n is not None:
+            count = chunk.count("\n") + (chunk[-1] != "\n")
+            if position is None:
+                position = {str(v): v - 1 for v in range(1, n + 1)}
+            if _plain_edges(chunk, count, position, adj):
+                lineno += count
+                continue
+        lines = chunk.splitlines()
+        n, adj = _parse_lines(lines, lineno, n, adj)
+        lineno += len(lines)
+    if n is None:
+        raise InputError("missing problem line 'p edge <n> <m>'")
+    del position                # before the graph builds its own ID index
+    return Graph._from_adj(list(range(1, n + 1)), adj)
+
+
+def _plain_edges(chunk: str, count: int, position: dict[str, int], adj: list[int]) -> bool:
+    """OR a chunk of `count` plain `e <u> <v>` lines with distinct ends into adj.
+
+    `position` maps each vertex ID, written in decimal, to its 0-based
+    position.  Returns False, with adj untouched, for any other chunk.
+    Only the bytes `e`, digits, space, tab and newline, every line starting
+    with `e`, three tokens a line, every third token `e` and the others
+    vertex IDs make each line exactly one `e` and two IDs between blanks,
+    which the line-by-line parser reads the same way.  An ID with a
+    leading zero is not a key, so its chunk goes line by line.
+    """
+    # isascii first: encode() would raise on a lone surrogate
+    if (not chunk.isascii() or chunk.encode().translate(None, _PLAIN_BYTES)
+            or (chunk[0] == "e") + chunk.count("\ne") != count):
+        return False
+    toks = chunk.split()
+    if len(toks) != 3 * count or toks[::3].count("e") != count:
+        return False
+    try:
+        us = list(map(position.__getitem__, toks[1::3]))
+        vs = list(map(position.__getitem__, toks[2::3]))
+    except KeyError:            # out of range, a leading zero or an `e` out of place
+        return False
+    if any(map(operator.eq, us, vs)):
+        return False
+    for u, v in zip(us, vs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return True
+
+
+def _parse_lines(lines: list[str], lineno: int, n: int | None,
+                 adj: list[int]) -> tuple[int | None, list[int]]:
+    """The line-by-line parser: lines numbered from lineno + 1; returns (n, adj)."""
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -53,9 +126,7 @@ def parse_graph(text: str) -> Graph:
             adj[v - 1] |= 1 << (u - 1)
         else:
             raise InputError(f"line {lineno}: unrecognized line {line!r}")
-    if n is None:
-        raise InputError("missing problem line 'p edge <n> <m>'")
-    return Graph._from_adj(list(range(1, n + 1)), adj)
+    return n, adj
 
 
 def emit_graph(g: Graph) -> str:

@@ -76,8 +76,11 @@ def _class_search(g: Graph, floor: int, start: int,
     largest union found, as a position mask, and the moves from ``start``;
     with one (which must avoid the dropped clique vertices) it returns
     ``goal`` and the moves to it, or None if no union path joins the two.
-    Exponential in the twin-class count only.
+    Exponential in the twin-class count only.  The empty graph has one
+    union, the empty one, and no twin classes.
     """
+    if not g._vmask:
+        return 0, EMPTY
     drop = 0
     for cl in nd_partition(g):
         if cl.kind == "clique" and len(cl.members) >= 2:

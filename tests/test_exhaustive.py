@@ -1,4 +1,4 @@
-"""Exhaustive agreement with the oracle on every labelled graph with 1 <= n <= 4.
+"""Exhaustive agreement with the oracle on every labelled graph with n <= 4.
 
 Every pair of independent sets (S, T) and every floor k is tried under
 TAR, TJ and TS, and every seed under every floor for the lambda solvers.
@@ -72,3 +72,17 @@ def test_every_small_graph_matches_the_oracle(n):
                     replays_to(g, ans, Rule.tar(tj_threshold(s)), s, t)
                 assert reach_ts(g, s, t) == oracle_reach(Rule.ts(), g, s, t)
     assert (pairs, nd_no) == EXPECTED[n]
+
+
+def test_empty_graph_matches_the_oracle():
+    g = Graph([])
+    s = frozenset()
+    want = oracle_lambda(g, s, 0)
+    check_lambda(g, lambda_single(g, s, 0), s, 0, want)
+    check_lambda(g, lambda_nd(g, s, 0), s, 0, want)
+    assert oracle_reach(Rule.tar(0), g, s, s)
+    for solve in (reach_tar, reach_nd):
+        replays_to(g, solve(g, 0, s, s), Rule.tar(0), s, s)
+    assert oracle_reach(Rule.tj(), g, s, s)
+    replays_to(g, reach_tj(g, s, s), Rule.tar(tj_threshold(s)), s, s)
+    assert reach_ts(g, s, s) == oracle_reach(Rule.ts(), g, s, s)
