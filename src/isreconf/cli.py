@@ -2,14 +2,15 @@
 
 Commands: decompose, alpha, lambda, solve, verify, oracle, gen, bench.
 Results are JSON on stdout.  Exit codes: 0 for a completed run (yes or
-no alike), 2 for input errors, 3 for internal failures such as a
-certificate that does not verify.
+no alike, also when the reader closes stdout early), 2 for input errors,
+3 for internal failures such as a certificate that does not verify.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -346,13 +347,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     stats.reset()
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except (InputError, OracleCapError) as exc:
         print(json.dumps({"answer": "error", "error": str(exc)}), file=sys.stderr)
         return 2
     except InternalError as exc:
         print(json.dumps({"answer": "error", "error": f"internal: {exc}"}), file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader stopped reading (say, `| head`) after the run completed;
+        # stdout goes to devnull so that the exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -236,23 +236,21 @@ def modular_width(g: Graph) -> int:
 
     Equals the maximum child count over prime nodes of the decomposition
     tree; any graph with at least two vertices needs width 2 even when
-    cograph operations suffice.
+    cograph operations suffice.  The tree is walked by a worklist over
+    the module subgraphs, without building ``MDNode`` values.
     """
     if g.n == 0:
         raise InputError("modular width of the empty graph is undefined")
     cached = g._memo.get("mw")
     if cached is not None:
         return cached
-
-    def walk(node: MDNode) -> int:
-        if node.kind == "leaf":
-            return 1
-        best = len(node.children) if node.kind == "prime" else 2
-        for c in node.children:
-            best = max(best, walk(c))
-        return best
-
-    width = 1 if g.n == 1 else max(2, walk(md_tree(g)))
+    width = 1 if g.n == 1 else 2
+    todo = [g] if g.n >= 2 else []
+    while todo:
+        kind, masks = _root_child_masks(todo.pop())
+        if kind == "prime":
+            width = max(width, len(masks))
+        todo.extend(g._derive(m) for m in masks if m & (m - 1))
     g._memo["mw"] = width
     return width
 
@@ -267,48 +265,35 @@ def nd_partition(g: Graph) -> list[TwinClass]:
     """
     if g.n == 0:
         raise InputError("twin partition needs a nonempty graph")
+    return [TwinClass(g._idset(m), "clique" if _clique_class(g, m) else "independent")
+            for m in _twin_masks(g)]
+
+
+def _twin_masks(g: Graph) -> list[int]:
+    """Twin classes of g as position masks, ordered by lowest member; memoised.
+
+    A vertex with a false twin has no true twin (a true twin of u would be
+    a neighbour of u's false twin v, so v would be adjacent to u), so the
+    classes are the groups of equal open neighbourhoods and of equal
+    closed neighbourhoods with two or more members, plus singletons.
+    """
     cached = g._memo.get("nd")
-    if cached is not None:
-        return cached
-    positions = list(bits(g._vmask))
-    parent = {p: p for p in positions}
+    if cached is None:
+        adj = g._adj
+        open_groups: dict[int, int] = {}
+        closed_groups: dict[int, int] = {}
+        for p in bits(g._vmask):
+            open_groups[adj[p]] = open_groups.get(adj[p], 0) | 1 << p
+            key = adj[p] | 1 << p
+            closed_groups[key] = closed_groups.get(key, 0) | 1 << p
+        cached = [m for groups in (open_groups, closed_groups)
+                  for m in groups.values() if m & (m - 1)]
+        cached += [1 << p for p in bits(g._vmask & ~sum(cached))]
+        cached.sort(key=lambda m: m & -m)
+        g._memo["nd"] = cached
+    return cached
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    open_groups: dict[int, int] = {}
-    closed_groups: dict[int, int] = {}
-    for p in positions:
-        key = g._adj[p]
-        first = open_groups.setdefault(key, p)
-        if first != p:
-            union(first, p)
-        key = g._adj[p] | (1 << p)
-        first = closed_groups.setdefault(key, p)
-        if first != p:
-            union(first, p)
-
-    grouped: dict[int, int] = {}
-    for p in positions:
-        root = find(p)
-        grouped[root] = grouped.get(root, 0) | (1 << p)
-    classes = []
-    for mask in sorted(grouped.values(), key=lambda m: m & -m):
-        members = g._idset(mask)
-        if mask.bit_count() >= 2:
-            first = mask & -mask
-            second = (mask ^ first) & -(mask ^ first)
-            kind = "clique" if g._adj[first.bit_length() - 1] & second else "independent"
-        else:
-            kind = "independent"
-        classes.append(TwinClass(members, kind))
-    g._memo["nd"] = classes
-    return classes
+def _clique_class(g: Graph, m: int) -> bool:
+    """True iff the twin class ``m`` has two or more pairwise adjacent members."""
+    return bool(g._adj[(m & -m).bit_length() - 1] & m)

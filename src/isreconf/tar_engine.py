@@ -5,18 +5,23 @@ tables, and then runs a rule loop that either deletes provably irrelevant
 vertices or grows the working set, until a fixpoint whose size is exactly
 the optimum.  Tables are filled lazily per threshold because the loop
 usually probes only a handful of them.
+
+Below the public functions everything works on position masks: a table
+is a plain callable from a threshold to ``(reached mask, rope)``, and
+vertex-ID sets are built only where a public function returns.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from . import stats
-from .decomposition import (_drop, _module_mask, _root_child_masks, is_module, nd_partition,
-                            quotient_adjacency)
+from .decomposition import (_clique_class, _drop, _is_module_mask, _module_mask,
+                            _root_child_masks, _twin_masks, quotient_adjacency)
 from .errors import InputError, InternalError
 from .graph import Graph, bits, reserve_stack
-from .mis import _alpha_mask, alpha
+from .mis import _alpha_mask
 from .moveseq import EMPTY, MoveRope, adds, removes
 from .rules import Move, ReconfSequence, Rule, _replay
 
@@ -55,13 +60,25 @@ def lambda_nd(g: Graph, seed, k: int) -> LambdaResult:
     search.  Exponential in the twin-class count only.
     """
     seed = frozenset(seed)
+    smask = _seed_mask(g, seed)
+    if len(seed) < k:
+        raise InputError(f"seed has {len(seed)} tokens, below the floor {k}")
+    return _result(g, seed, max(k, 0), _class_search(g, max(k, 0), smask))
+
+
+def _seed_mask(g: Graph, seed) -> int:
+    """Position mask of a caller's seed; InputError unless it is independent in g."""
     smask = g._mask(seed)
     if not g._independent(smask):
         raise InputError("seed set is not independent")
-    if len(seed) < k:
-        raise InputError(f"seed has {len(seed)} tokens, below the floor {k}")
-    reached, rope = _class_search(g, max(k, 0), smask)
-    return LambdaResult(reached.bit_count(), g._idset(reached), seed, max(k, 0), rope)
+    return smask
+
+
+def _result(g: Graph, seed: frozenset[int], floor: int,
+            out: tuple[int, MoveRope]) -> LambdaResult:
+    """The public result for a core's ``(reached mask, rope)``."""
+    reached, rope = out
+    return LambdaResult(reached.bit_count(), g._idset(reached), seed, floor, rope)
 
 
 def _class_search(g: Graph, floor: int, start: int,
@@ -82,14 +99,13 @@ def _class_search(g: Graph, floor: int, start: int,
     if not g._vmask:
         return 0, EMPTY
     drop = 0
-    for cl in nd_partition(g):
-        if cl.kind == "clique" and len(cl.members) >= 2:
-            cm = g._mask(cl.members)
+    for cm in _twin_masks(g):
+        if _clique_class(g, cm):
             keep = cm & start or cm
             drop |= cm & ~(keep & -keep)
     if drop:
         g = g._derive(g._vmask & ~drop)
-    classes = [g._mask(cl.members) for cl in nd_partition(g)]
+    classes = _twin_masks(g)
     sizes = [c.bit_count() for c in classes]
     qadj = quotient_adjacency(g, classes)
 
@@ -157,8 +173,7 @@ def shrink_module(g: Graph, seed, module, witness) -> Graph:
     witness = frozenset(witness)
     seed = frozenset(seed)
     pm = _module_mask(g, module)
-    if not g._independent(g._mask(seed)):
-        raise InputError("seed set is not independent")
+    _seed_mask(g, seed)
     if not witness <= module or not g.is_independent(witness):
         raise InputError("witness must be an independent subset of the module")
     if not (seed & module) <= witness:
@@ -174,12 +189,12 @@ class EngineState:
     __slots__ = ("g", "k", "seed", "h", "r", "part_masks", "live", "pool",
                  "thr", "thr0", "rope", "mod_ropes")
 
-    def __init__(self, g: Graph, k: int, seed: frozenset[int], part_masks: list[int]):
+    def __init__(self, g: Graph, k: int, seed: int, part_masks: list[int]):
         self.g = g
         self.k = k
         self.seed = seed
         self.h = g
-        self.r = g._mask(seed)
+        self.r = seed
         self.part_masks = part_masks
         self.live = [False] * len(part_masks)
         self.pool = 0
@@ -199,11 +214,11 @@ class EngineState:
                 covered |= pm
         if covered != h._vmask or h._vmask & ~g._vmask:
             raise InternalError("pool and live parts do not partition V(H)")
-        if _replay(g, ReconfSequence(Rule.tar(max(self.k, 0)), self.seed,
+        if _replay(g, ReconfSequence(Rule.tar(max(self.k, 0)), g._idset(self.seed),
                                      self.rope.flatten())) != r:
             raise InternalError("accumulated sequence does not end at R")
         empties = sum(1 for x in self.live if not x)
-        if self.pool and len(nd_partition(h._derive(self.pool))) > empties:
+        if self.pool and len(_twin_masks(h._derive(self.pool))) > empties:
             raise InternalError("pool twin-class count exceeds the empty-part budget")
         slots = [(self.pool, self.thr0)] if self.pool else []
         slots += [(pm, self.thr[i]) for i, pm in enumerate(self.part_masks) if self.live[i]]
@@ -217,25 +232,34 @@ class EngineState:
             if not r & pm:
                 raise InternalError("live part lost all tokens")
             part_g = g._derive(pm)
-            seed_i = g._idset(g._mask(self.seed) & pm)
+            seed_i = g._idset(self.seed & pm)
             if _replay(part_g, ReconfSequence(Rule.tar(max(self.thr[i], 0)), seed_i,
                                               self.mod_ropes[i].flatten())) != r & pm:
                 raise InternalError("per-module sequence does not end at its slice")
 
 
-def _entry(tables, i: int, j: int) -> LambdaResult:
+Table = Callable[[int], tuple[int, MoveRope]]
+
+
+def _entry(g: Graph, table: Mapping[int, LambdaResult], i: int, pm: int,
+           j: int) -> tuple[int, MoveRope]:
+    """A caller's table for part ``i`` (mask ``pm``) read as a ``Table``, entry checked."""
     try:
-        e = tables[i][j]
+        e = table[j]
     except KeyError:
         raise InputError(f"tables for part {i} lack threshold {j}") from None
     if not isinstance(e, LambdaResult) or e.size != len(e.reached):
         raise InputError(f"malformed table entry for part {i}, threshold {j}")
-    return e
+    rmask = g._mask(e.reached)
+    if rmask & ~pm:
+        raise InputError(f"table entry for part {i} leaves the part")
+    return rmask, e._rope
 
 
-def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[int],
-                     tables, alphas: list[tuple[int, int]], check: bool = False) -> LambdaResult:
-    """The rule loop; ``alphas`` holds each part's alpha and witness mask."""
+def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
+                     tables: list[Table | None], alphas: list[tuple[int, int]],
+                     check: bool = False) -> tuple[int, MoveRope]:
+    """The rule loop on a seed mask; ``alphas`` holds each part's alpha and witness mask."""
     st = EngineState(g, k, seed, part_masks)
 
     # preprocessing: dump seed-free parts, splice seeded parts to their table optimum
@@ -246,12 +270,9 @@ def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[in
         else:
             st.live[i] = True
             st.thr[i] = (st.r & pm).bit_count()
-            entry = _entry(tables, i, st.thr[i])
-            rmask = g._mask(entry.reached)
-            if rmask & ~pm:
-                raise InputError(f"table entry for part {i} leaves the part")
-            st.rope = MoveRope.cat(st.rope, entry._rope)
-            st.mod_ropes[i] = entry._rope
+            rmask, rope = tables[i](st.thr[i])
+            st.rope = MoveRope.cat(st.rope, rope)
+            st.mod_ropes[i] = rope
             st.r = (st.r & ~pm) | rmask
     if check:
         st.check()
@@ -311,7 +332,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[in
             if j <= 0:
                 size, amask = alphas[i]
                 if size > cur:
-                    delta = MoveRope.cat(removes(g._idset(st.r & pm)), adds(g._idset(amask)))
+                    delta = MoveRope.cat(removes(g._ids(st.r & pm)), adds(g._ids(amask)))
                     st.rope = MoveRope.cat(st.rope, delta)
                     st.mod_ropes[i] = MoveRope.cat(st.mod_ropes[i], delta)
                     st.r = (st.r & ~pm) | amask
@@ -321,14 +342,11 @@ def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[in
             else:
                 if j > st.thr[i]:
                     raise InternalError("requested threshold above the stored one")
-                entry = _entry(tables, i, j)
-                if entry.size > cur:
-                    rmask = g._mask(entry.reached)
-                    if rmask & ~pm:
-                        raise InputError(f"table entry for part {i} leaves the part")
-                    delta = MoveRope.cat(MoveRope.rev(st.mod_ropes[i]), entry._rope)
+                rmask, rope = tables[i](j)
+                if rmask.bit_count() > cur:
+                    delta = MoveRope.cat(MoveRope.rev(st.mod_ropes[i]), rope)
                     st.rope = MoveRope.cat(st.rope, delta)
-                    st.mod_ropes[i] = entry._rope
+                    st.mod_ropes[i] = rope
                     st.r = (st.r & ~pm) | rmask
                     st.thr[i] = j
                     applied = True
@@ -340,65 +358,44 @@ def _lambda_step_raw(g: Graph, k: int, seed: frozenset[int], part_masks: list[in
             continue
         break
 
-    return LambdaResult(st.r.bit_count(), g._idset(st.r), seed, max(k, 0), st.rope)
+    return st.r, st.rope
 
 
-class _LazyTable:
-    """Mapping facade over a per-module solver; entries appear on demand."""
+def _make_solver(g: Graph, seed: int, check: bool = False) -> Table:
+    """The table of ``g`` for a seed mask, each threshold solved on first request."""
+    cache: dict[int, tuple[int, MoveRope]] = {}
+    setup: list = []
 
-    __slots__ = ("_solve",)
-
-    def __init__(self, solve: Callable[[int], LambdaResult]):
-        self._solve = solve
-
-    def __getitem__(self, j: int) -> LambdaResult:
-        return self._solve(j)
-
-
-def _make_solver(g: Graph, seed: frozenset[int], check: bool = False) -> Callable[[int], LambdaResult]:
-    cache: dict[int, LambdaResult] = {}
-    ctx: list = []
-
-    def setup():
-        if ctx:
-            return ctx[0]
-        if g.n <= 2:
-            ctx.append(("nd",))
-            return ctx[0]
-        _, part_masks = _root_child_masks(g)
-        if all(pm.bit_count() == 1 for pm in part_masks):
-            ctx.append(("nd",))
-            return ctx[0]
-        subs = [g._derive(pm) for pm in part_masks]
-        alphas = [_alpha_mask(sub) for sub in subs]
-        smask = g._mask(seed)
-        tables: list = []
-        for sub, pm in zip(subs, part_masks):
-            inner = g._idset(smask & pm)
-            tables.append(_LazyTable(_make_solver(sub, inner, check)) if inner else None)
-        ctx.append(("engine", part_masks, tables, alphas))
-        return ctx[0]
-
-    def solve(j: int) -> LambdaResult:
+    def solve(j: int) -> tuple[int, MoveRope]:
         hit = cache.get(j)
-        if hit is not None:
-            return hit
-        if j < 0 or j > len(seed):
-            raise InputError(f"threshold {j} outside [0, {len(seed)}]")
-        if j == 0:
-            best = alpha(g)
-            rope = MoveRope.cat(removes(seed - best.witness), adds(best.witness - seed))
-            res = LambdaResult(best.size, best.witness, seed, 0, rope)
-        else:
-            mode = setup()
-            if mode[0] == "nd":
-                res = lambda_nd(g, seed, j)
+        if hit is None:
+            if j == 0:
+                _, w = _alpha_mask(g)
+                hit = w, MoveRope.cat(removes(g._ids(seed & ~w)), adds(g._ids(w & ~seed)))
             else:
-                res = _lambda_step_raw(g, j, seed, mode[1], mode[2], mode[3], check)
-        cache[j] = res
-        return res
+                if not setup:
+                    setup.append(_root_tables(g, seed, check))
+                if setup[0] is None:
+                    hit = _class_search(g, j, seed)
+                else:
+                    hit = _lambda_step_raw(g, j, seed, *setup[0], check)
+            cache[j] = hit
+        return hit
 
     return solve
+
+
+def _root_tables(g: Graph, seed: int, check: bool):
+    """Root parts, their tables and alphas; None when the class search should run."""
+    if g.n <= 2:
+        return None
+    _, part_masks = _root_child_masks(g)
+    if all(pm.bit_count() == 1 for pm in part_masks):
+        return None
+    subs = [g._derive(pm) for pm in part_masks]
+    tables = [_make_solver(sub, seed & pm, check) if seed & pm else None
+              for sub, pm in zip(subs, part_masks)]
+    return part_masks, tables, [_alpha_mask(sub) for sub in subs]
 
 
 def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
@@ -408,46 +405,49 @@ def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
 
     The partition must be non-trivial, and for each part meeting the seed
     the table must answer every threshold up to the seed slice size.
+    Tables are checked in one place, as the rule loop reads an entry: it
+    must be a ``LambdaResult`` whose size matches its set, inside its
+    part.  The solvers' own tables skip that check and the set round trip.
     """
     seed = frozenset(seed)
-    if not g.is_independent(seed):
-        raise InputError("seed set is not independent")
+    smask = _seed_mask(g, seed)
     if len(seed) < k or k < 0:
         raise InputError("floor must satisfy 0 <= k <= |seed|")
     if len(parts) < 2:
         raise InputError("partition must have at least two parts")
     if len(tables) != len(parts):
         raise InputError("one table per part is required")
-    covered: set[int] = set()
+    covered = 0
+    part_masks = []
     for part in parts:
-        if not part or covered & part:
+        pm = g._mask(part)
+        if not pm or covered & pm:
             raise InputError("parts must be nonempty and disjoint")
-        if not is_module(g, part):
+        if not _is_module_mask(g, pm):
             raise InputError("every part must be a module")
-        covered |= part
-    if covered != g.vertices:
+        covered |= pm
+        part_masks.append(pm)
+    if covered != g._vmask:
         raise InputError("parts must cover the vertex set")
-    part_masks = [g._mask(p) for p in parts]
+    read = [None if t is None else partial(_entry, g, t, i, pm)
+            for i, (t, pm) in enumerate(zip(tables, part_masks))]
     alphas = [_alpha_mask(g._derive(pm)) for pm in part_masks]
-    return _lambda_step_raw(g, k, seed, part_masks, tables, alphas, check)
+    return _result(g, seed, k, _lambda_step_raw(g, k, smask, part_masks, read, alphas, check))
 
 
 def lambda_single(g: Graph, seed, k: int, *, check: bool = False) -> LambdaResult:
     """Largest independent set reachable from the seed under TAR(k)."""
     reserve_stack(g.n)
     seed = frozenset(seed)
-    if not g.is_independent(seed):
-        raise InputError("seed set is not independent")
+    smask = _seed_mask(g, seed)
     if k < 0 or k > len(seed):
         raise InputError(f"floor {k} outside [0, {len(seed)}]")
-    return _make_solver(g, seed, check)(k)
+    return _result(g, seed, k, _make_solver(g, smask, check)(k))
 
 
 def lambda_all(g: Graph, seed, *, check: bool = False) -> dict[int, LambdaResult]:
     """Table of largest reachable sets for every floor from 1 to |seed|."""
     reserve_stack(g.n)
     seed = frozenset(seed)
-    if not g.is_independent(seed):
-        raise InputError("seed set is not independent")
-    solve = _make_solver(g, seed, check)
-    return {j: solve(j) for j in range(1, len(seed) + 1)}
+    solve = _make_solver(g, _seed_mask(g, seed), check)
+    return {j: _result(g, seed, j, solve(j)) for j in range(1, len(seed) + 1)}

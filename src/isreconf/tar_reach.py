@@ -6,17 +6,22 @@ maximum independent set), or neither can (then the module's entire
 neighborhood is unusable and is dropped).  Disconnected graphs normalize
 both sides to their largest reachable sets and recurse per component.
 Every yes answer carries a replayable witness sequence.
+
+The solvers take and return position masks and call the engine and
+class-search cores directly; vertex-ID sets appear only in the public
+functions.
 """
 
 from __future__ import annotations
 
-from .decomposition import _drop, _fence, _module_mask, _root_child_masks, nd_partition
+from .decomposition import (_clique_class, _drop, _fence, _module_mask, _root_child_masks,
+                            _twin_masks)
 from .errors import InputError, InternalError
 from .graph import Graph, reserve_stack
 from .mis import _alpha_mask, alpha
 from .moveseq import EMPTY, MoveRope, adds, removes
 from .rules import ReconfSequence, Rule, tj_threshold
-from .tar_engine import _class_search, lambda_single
+from .tar_engine import _class_search, _make_solver, _seed_mask
 
 
 class ReachAnswer:
@@ -44,21 +49,19 @@ class ReachAnswer:
         return f"ReachAnswer({'yes' if self.reachable else 'no'}{tail})"
 
 
-def _trivial_rope(s: frozenset[int], t: frozenset[int]) -> MoveRope:
+def _trivial_rope(g: Graph, s: int, t: int) -> MoveRope:
     # with no effective floor, tear down one side and build the other
-    return MoveRope.cat(removes(s - t), adds(t - s))
+    return MoveRope.cat(removes(g._ids(s & ~t)), adds(g._ids(t & ~s)))
 
 
-def _empty_module_rope(g: Graph, seed: frozenset[int], module: int,
-                       k: int) -> tuple[frozenset[int], MoveRope] | None:
-    if not g._mask(seed) & module:
+def _empty_module_rope(g: Graph, seed: int, module: int,
+                       k: int) -> tuple[int, MoveRope] | None:
+    if not seed & module:
         return seed, EMPTY
-    best = lambda_single(g._derive(g._vmask & ~_fence(g, module)), seed, max(k, 0))
-    reached = g._mask(best.reached)
+    reached, rope = _make_solver(g._derive(g._vmask & ~_fence(g, module)), seed)(max(k, 0))
     if (reached & ~module).bit_count() < k:
         return None
-    rope = MoveRope.cat(best._rope, removes(g._idset(reached & module)))
-    return g._idset(reached & ~module), rope
+    return reached & ~module, MoveRope.cat(rope, removes(g._ids(reached & module)))
 
 
 def empty_module(g: Graph, seed, module, k: int) -> tuple[frozenset[int], ReconfSequence] | None:
@@ -72,15 +75,14 @@ def empty_module(g: Graph, seed, module, k: int) -> tuple[frozenset[int], Reconf
     """
     seed = frozenset(seed)
     pm = _module_mask(g, module)
-    if not g.is_independent(seed):
-        raise InputError("seed set is not independent")
+    smask = _seed_mask(g, seed)
     if len(seed) < k:
         raise InputError("seed is below the floor")
-    out = _empty_module_rope(g, seed, pm, k)
+    out = _empty_module_rope(g, smask, pm, k)
     if out is None:
         return None
     final, rope = out
-    return final, ReconfSequence(Rule.tar(max(k, 0)), seed, rope.flatten())
+    return g._idset(final), ReconfSequence(Rule.tar(max(k, 0)), seed, rope.flatten())
 
 
 def reduce_empty_module(g: Graph, module, s, t) -> Graph:
@@ -91,10 +93,7 @@ def reduce_empty_module(g: Graph, module, s, t) -> Graph:
     witness.
     """
     pm = _module_mask(g, module)
-    smask = g._mask(s)
-    tmask = g._mask(t)
-    if not g._independent(smask) or not g._independent(tmask):
-        raise InputError("both sets must be independent")
+    smask, tmask = _pair_masks(g, s, t)
     if (smask | tmask) & pm:
         raise InputError("both sets must avoid the module")
     return _drop(g, pm & ~g._mask(alpha(g._derive(pm)).witness))
@@ -103,21 +102,16 @@ def reduce_empty_module(g: Graph, module, s, t) -> Graph:
 # -- twin-class reachability ----------------------------------------------------
 
 
-def _reach_nd(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRope | None:
+def _reach_nd(g: Graph, k: int, s: int, t: int) -> MoveRope | None:
     if k <= 0:
-        return _trivial_rope(s, t)
+        return _trivial_rope(g, s, t)
     if s == t:
         return EMPTY
-    target = None
-    for cl in nd_partition(g):
-        if cl.kind == "clique" and len(cl.members) >= 2:
-            target = cl.members
-            break
-    if target is None:
-        out = _class_search(g, k, g._mask(s), g._mask(t))
+    tm = next((m for m in _twin_masks(g) if _clique_class(g, m)), None)
+    if tm is None:
+        out = _class_search(g, k, s, t)
         return None if out is None else out[1]
 
-    tm = g._mask(target)
     es = _empty_module_rope(g, s, tm, k)
     et = _empty_module_rope(g, t, tm, k)
     if (es is None) != (et is None):
@@ -130,36 +124,42 @@ def _reach_nd(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRop
             return None
         return MoveRope.cat(MoveRope.cat(rs, sub), MoveRope.rev(rt))
     # neither side can vacate a clique: the single token inside is pinned
-    if s & target != t & target:
+    if s & tm != t & tm:
         return None
-    return _reach_nd(_drop(g, tm | _fence(g, tm)), k - 1, s - target, t - target)
+    return _reach_nd(_drop(g, tm | _fence(g, tm)), k - 1, s & ~tm, t & ~tm)
 
 
 def reach_nd(g: Graph, k: int, s, t) -> ReachAnswer:
     """TAR(k) reachability, exponential only in the twin-class count."""
-    s, t = _validated_pair(g, k, s, t)
-    rope = _reach_nd(g, k, s, t)
+    s, smask, tmask = _validated_pair(g, k, s, t)
+    rope = _reach_nd(g, k, smask, tmask)
     return ReachAnswer(rope is not None, Rule.tar(k), s, rope)
 
 
 # -- the general TAR decision ---------------------------------------------------
 
 
-def _validated_pair(g: Graph, k: int, s, t) -> tuple[frozenset[int], frozenset[int]]:
+def _pair_masks(g: Graph, s, t) -> tuple[int, int]:
+    """Position masks of a caller's two sides; InputError unless both are independent."""
+    smask, tmask = g._mask(s), g._mask(t)
+    if not g._independent(smask) or not g._independent(tmask):
+        raise InputError("both sets must be independent")
+    return smask, tmask
+
+
+def _validated_pair(g: Graph, k: int, s, t) -> tuple[frozenset[int], int, int]:
     s = frozenset(s)
-    t = frozenset(t)
     if k < 0:
         raise InputError("the floor k must be non-negative")
-    if not g.is_independent(s) or not g.is_independent(t):
-        raise InputError("both sets must be independent")
-    if min(len(s), len(t)) < k:
+    smask, tmask = _pair_masks(g, s, t)
+    if min(smask.bit_count(), tmask.bit_count()) < k:
         raise InputError("both sets must have at least k tokens")
-    return s, t
+    return s, smask, tmask
 
 
-def _reach_tar(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRope | None:
+def _reach_tar(g: Graph, k: int, s: int, t: int) -> MoveRope | None:
     if k <= 0:
-        return _trivial_rope(s, t)
+        return _trivial_rope(g, s, t)
     if s == t:
         return EMPTY
 
@@ -190,33 +190,28 @@ def _reach_tar(g: Graph, k: int, s: frozenset[int], t: frozenset[int]) -> MoveRo
 
     # disconnected: normalize both sides to largest reachable sets, then
     # token counts per component are conserved and components separate
-    ls = lambda_single(g, s, k)
-    lt = lambda_single(g, t, k)
-    if ls.size != lt.size:
+    s2, rs = _make_solver(g, s)(k)
+    t2, rt = _make_solver(g, t)(k)
+    size = s2.bit_count()
+    if size != t2.bit_count():
         return None
-    s2 = g._mask(ls.reached)
-    t2 = g._mask(lt.reached)
-    ropes = []
+    rope = rs
     for cm in comp_masks:
         sc = (s2 & cm).bit_count()
         if sc != (t2 & cm).bit_count():
             return None
-        sub = _reach_tar(g._derive(cm), k - (ls.size - sc),
-                         g._idset(s2 & cm), g._idset(t2 & cm))
+        sub = _reach_tar(g._derive(cm), k - (size - sc), s2 & cm, t2 & cm)
         if sub is None:
             return None
-        ropes.append(sub)
-    rope = ls._rope
-    for sub in ropes:
         rope = MoveRope.cat(rope, sub)
-    return MoveRope.cat(rope, MoveRope.rev(lt._rope))
+    return MoveRope.cat(rope, MoveRope.rev(rt))
 
 
 def reach_tar(g: Graph, k: int, s, t) -> ReachAnswer:
     """Decide TAR(k) reachability; yes answers carry a witness sequence."""
     reserve_stack(g.n)
-    s, t = _validated_pair(g, k, s, t)
-    rope = _reach_tar(g, k, s, t)
+    s, smask, tmask = _validated_pair(g, k, s, t)
+    rope = _reach_tar(g, k, smask, tmask)
     return ReachAnswer(rope is not None, Rule.tar(k), s, rope)
 
 
@@ -228,13 +223,9 @@ def reach_tj(g: Graph, s, t) -> ReachAnswer:
     """
     reserve_stack(g.n)
     s = frozenset(s)
-    t = frozenset(t)
-    if not g.is_independent(s) or not g.is_independent(t):
-        raise InputError("both sets must be independent")
+    smask, tmask = _pair_masks(g, s, t)
     k = tj_threshold(s)
-    if len(s) != len(t):
+    if len(s) != tmask.bit_count():
         return ReachAnswer(False, Rule.tar(k), s, None)
-    if s == t:
-        return ReachAnswer(True, Rule.tar(k), s, EMPTY)
-    rope = _reach_tar(g, k, s, t)
+    rope = _reach_tar(g, k, smask, tmask)
     return ReachAnswer(rope is not None, Rule.tar(k), s, rope)

@@ -8,15 +8,20 @@ search over fixed-size independent sets of the quotient, with one extra
 vacancy condition per module that swapped tokens across its components.
 Decision only; the reductions rewrite the target set, so the quotient path
 is not a certificate for the input graph.
+
+The solver works on position masks over the root's child modules and
+component masks; the public lemma functions check and convert their
+input, then run the same mask cores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import _drop, _fence, _module_mask, top_partition
+from .decomposition import _drop, _fence, _module_mask, _root_child_masks
 from .errors import InputError
 from .graph import Graph, bits, reserve_stack
+from .tar_reach import _pair_masks
 
 
 @dataclass(frozen=True)
@@ -39,13 +44,17 @@ def ts_big_module(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozen
     shrinks to the module's non-neighborhood."""
     s = frozenset(s)
     t = frozenset(t)
-    module = frozenset(module)
-    fence = _fence(g, _module_mask(g, module))
-    if len(s & module) < 2:
+    pm = _module_mask(g, module)
+    if (g._mask(s) & pm).bit_count() < 2:
         raise InputError("the module must hold at least two source tokens")
-    if t & g._idset(fence):
-        return None
-    return _drop(g, fence), s, t
+    h = _big_module(g, g._mask(t), pm)
+    return None if h is None else (h, s, t)
+
+
+def _big_module(g: Graph, t: int, module: int) -> Graph | None:
+    """The two-token rule on masks: None if ``t`` meets the fence, else ``g`` without it."""
+    fence = _fence(g, module)
+    return None if t & fence else _drop(g, fence)
 
 
 def ts_shrink(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozenset[int], bool]:
@@ -57,27 +66,26 @@ def ts_shrink(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozenset[
     check that some reachable set vacates the module (flag in the result).
     """
     s = frozenset(s)
-    t = frozenset(t)
-    module = frozenset(module)
-    _module_mask(g, module)  # raises unless the set is a module
-    if len(s) != len(t):
+    pm = _module_mask(g, module)
+    smask, tmask = g._mask(s), g._mask(t)
+    if smask.bit_count() != tmask.bit_count():
         raise InputError("both sides must hold the same number of tokens")
-    if len(s & module) > 1 or len(t & module) > 1:
+    if (smask & pm).bit_count() > 1 or (tmask & pm).bit_count() > 1:
         raise InputError("the module may hold at most one token per side")
+    h, tmask, used_vacancy = _shrink(g, smask, tmask, pm)
+    return h, s, g._idset(tmask), used_vacancy
+
+
+def _shrink(g: Graph, s: int, t: int, module: int) -> tuple[Graph, int, bool]:
+    """``ts_shrink`` on masks: the shrunk graph, the rerouted target and the vacancy flag."""
+    a, b = s & module, t & module
     used_vacancy = False
-    a = s & module
-    b = t & module
     if a and b and a != b:
-        u, = a
-        v, = b
-        comp_of_u = next(c for c in g.induced_subgraph(module).components() if u in c)
-        used_vacancy = v not in comp_of_u
-        t = (t - {v}) | {u}
-        g = _drop(g, g._mask(b))
-        module = module - {v}
-    keep_pool = module & (s | t)
-    keep = min(keep_pool) if keep_pool else min(module)
-    return _drop(g, g._mask(module - {keep})), s, t, used_vacancy
+        comp = next(c for c in g._derive(module)._component_masks() if c & a)
+        used_vacancy = not comp & b
+        t ^= a | b
+    keep = module & (s | t) or module
+    return _drop(g, module & ~(keep & -keep)), t, used_vacancy
 
 
 def ts_aux_decide(red: TsReduction) -> bool:
@@ -89,24 +97,20 @@ def ts_aux_decide(red: TsReduction) -> bool:
     h = red.h
     if len(red.start) != len(red.target):
         raise InputError("reduced sides must have equal size")
-    smask = h._mask(red.start)
-    tmask = h._mask(red.target)
-    vac = {h._pos[v]: False for v in red.vacancies}
+    return _aux_decide(h, h._mask(red.start), h._mask(red.target), h._mask(red.vacancies))
+
+
+def _aux_decide(h: Graph, smask: int, tmask: int, vacancies: int) -> bool:
+    """``ts_aux_decide`` on masks; ``vacancies`` is the mask of representatives."""
     adj = h._adj
     live = h._vmask
-
-    def note(state: int) -> None:
-        for p in vac:
-            if not vac[p] and not state & (1 << p):
-                vac[p] = True
-
+    unvacated = vacancies & smask   # representatives every set seen so far holds
     seen = {smask}
-    note(smask)
     queue = [smask]
     head = 0
     found = smask == tmask
     while head < len(queue):
-        if found and all(vac.values()):
+        if found and not unvacated:
             return True
         state = queue[head]
         head += 1
@@ -118,53 +122,42 @@ def ts_aux_decide(red: TsReduction) -> bool:
                 nxt = rest | (1 << q)
                 if nxt not in seen:
                     seen.add(nxt)
-                    note(nxt)
+                    unvacated &= nxt
                     queue.append(nxt)
                     if nxt == tmask:
                         found = True
-    return found and all(vac.values())
+    return found and not unvacated
 
 
 def reach_ts(g: Graph, s, t) -> bool:
     """Decide whether two independent sets are connected by token slides."""
     reserve_stack(g.n)
-    s = frozenset(s)
-    t = frozenset(t)
-    if not g.is_independent(s) or not g.is_independent(t):
-        raise InputError("both sets must be independent")
-    return _reach_ts(g, s, t)
+    return _reach_ts(g, *_pair_masks(g, s, t))
 
 
-def _reach_ts(g: Graph, s: frozenset[int], t: frozenset[int]) -> bool:
-    if len(s) != len(t):
+def _reach_ts(g: Graph, s: int, t: int) -> bool:
+    if s.bit_count() != t.bit_count():
         return False
     if s == t:
         return True
 
     comp_masks = g._component_masks()
     if len(comp_masks) > 1:
-        smask = g._mask(s)
-        tmask = g._mask(t)
-        return all(_reach_ts(g._derive(cm), g._idset(smask & cm), g._idset(tmask & cm))
-                   for cm in comp_masks)
+        return all(_reach_ts(g._derive(cm), s & cm, t & cm) for cm in comp_masks)
 
-    parts = top_partition(g)
-    for part in parts:
-        if len(s & part) >= 2:
-            step = ts_big_module(g, s, t, part)
-            if step is None:
-                return False
-            return _reach_ts(step[0], step[1], step[2])
-    if any(len(t & part) >= 2 for part in parts):
+    _, parts = _root_child_masks(g)
+    for pm in parts:
+        if (s & pm).bit_count() >= 2:
+            h = _big_module(g, t, pm)
+            return h is not None and _reach_ts(h, s, t)
+    if any((t & pm).bit_count() >= 2 for pm in parts):
         # symmetric two-token bound: no set reachable from s re-crowds a module
         return False
 
-    vacancies: list[int] = []
-    for part in parts:
-        if len(part) == 1:
-            continue
-        g, s, t, used_vacancy = ts_shrink(g, s, t, part)
-        if used_vacancy:
-            survivor, = part & g.vertices
-            vacancies.append(survivor)
-    return ts_aux_decide(TsReduction(g, s, t, tuple(vacancies)))
+    vacancies = 0
+    for pm in parts:
+        if pm & (pm - 1):
+            g, t, used_vacancy = _shrink(g, s, t, pm)
+            if used_vacancy:
+                vacancies |= pm & g._vmask
+    return _aux_decide(g, s, t, vacancies)

@@ -226,3 +226,26 @@ def test_bench_worker_pool(capsys):
                        "--profile", "n=9,width=3,rule=ts", "--workers", "2")
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # the output (a 1500-leaf tree) outgrows a pipe buffer, so the writer
+    # blocks until the reader closes its end and then gets a broken pipe
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    gpath = tmp_path / "wide.gr"
+    gpath.write_text(emit_graph(Graph(range(1, 1501))))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "isreconf.cli", "decompose", str(gpath)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -335,7 +335,7 @@ def instance(draw, max_n=8):
 
 
 def nd_rope(g, k, s, t):
-    return tar_reach._reach_nd(g, k, s, t)
+    return tar_reach._reach_nd(g, k, g._mask(s), g._mask(t))
 
 
 def class_search_via_lambda_nd(g, floor, start, goal=None):
