@@ -247,10 +247,11 @@ def modular_width(g: Graph) -> int:
     width = 1 if g.n == 1 else 2
     todo = [g] if g.n >= 2 else []
     while todo:
-        kind, masks = _root_child_masks(todo.pop())
+        h = todo.pop()
+        kind, masks = _root_child_masks(h)
         if kind == "prime":
             width = max(width, len(masks))
-        todo.extend(g._derive(m) for m in masks if m & (m - 1))
+        todo.extend(h._derive(m) for m in masks if m & (m - 1))
     g._memo["mw"] = width
     return width
 

@@ -246,7 +246,7 @@ def _entry(g: Graph, table: Mapping[int, LambdaResult], i: int, pm: int,
     """A caller's table for part ``i`` (mask ``pm``) read as a ``Table``, entry checked."""
     try:
         e = table[j]
-    except KeyError:
+    except (LookupError, TypeError):  # TypeError: no table for a part meeting the seed
         raise InputError(f"tables for part {i} lack threshold {j}") from None
     if not isinstance(e, LambdaResult) or e.size != len(e.reached):
         raise InputError(f"malformed table entry for part {i}, threshold {j}")
@@ -385,7 +385,8 @@ def _make_solver(g: Graph, seed: int, check: bool = False) -> Table:
     return solve
 
 
-def _root_tables(g: Graph, seed: int, check: bool):
+def _root_tables(g: Graph, seed: int, check: bool
+                 ) -> tuple[list[int], list[Table | None], list[tuple[int, int]]] | None:
     """Root parts, their tables and alphas; None when the class search should run."""
     if g.n <= 2:
         return None
@@ -429,8 +430,7 @@ def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
         part_masks.append(pm)
     if covered != g._vmask:
         raise InputError("parts must cover the vertex set")
-    read = [None if t is None else partial(_entry, g, t, i, pm)
-            for i, (t, pm) in enumerate(zip(tables, part_masks))]
+    read = [partial(_entry, g, t, i, pm) for i, (t, pm) in enumerate(zip(tables, part_masks))]
     alphas = [_alpha_mask(g._derive(pm)) for pm in part_masks]
     return _result(g, seed, k, _lambda_step_raw(g, k, smask, part_masks, read, alphas, check))
 

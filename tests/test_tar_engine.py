@@ -159,3 +159,13 @@ def test_lambda_monotone_in_floor():
         sizes = [lambda_single(g, s, j).size for j in range(0, len(s) + 1)]
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[0] == alpha(g).size
+
+
+def test_lambda_step_rejects_a_missing_table_for_a_seeded_part():
+    g = cycle_graph([1, 2, 3, 4])
+    parts = [frozenset({1, 3}), frozenset({2, 4})]
+    for tables in ([None, None], [[], None]):
+        with pytest.raises(InputError, match="part 0 lack threshold 2"):
+            lambda_step(g, 1, {1, 3}, parts, tables)
+    table = tables_for(g, parts, {1, 3})[0]
+    assert lambda_step(g, 1, {1, 3}, parts, [table, None]).size == 2
