@@ -58,12 +58,13 @@ def _module_mask(g: Graph, module) -> int:
 def _is_module_mask(g: Graph, m: int) -> bool:
     adj = g._adj
     outside = _fence(g, m)
-    return all(adj[p] & ~m == outside for p in bits(m))
+    keep = g._vmask & ~m
+    return all(adj[p] & keep == outside for p in bits(m))
 
 
 def _fence(g: Graph, module: int) -> int:
     """Outside neighbourhood of a module mask: one member's, as all members share it."""
-    return g._adj[(module & -module).bit_length() - 1] & ~module
+    return g._adj[(module & -module).bit_length() - 1] & g._vmask & ~module
 
 
 def _drop(h: Graph, dead: int) -> Graph:
@@ -116,7 +117,7 @@ def _prime_child_masks(g: Graph) -> list[int]:
     vbit = live & -live
     vpos = vbit.bit_length() - 1
     parts = [vbit]
-    nv = adj[vpos]
+    nv = adj[vpos] & live
     rest = live & ~nv & ~vbit
     if nv:
         parts.append(nv)
@@ -281,12 +282,13 @@ def _twin_masks(g: Graph) -> list[int]:
     cached = g._memo.get("nd")
     if cached is None:
         adj = g._adj
+        live = g._vmask
         open_groups: dict[int, int] = {}
         closed_groups: dict[int, int] = {}
-        for p in bits(g._vmask):
-            open_groups[adj[p]] = open_groups.get(adj[p], 0) | 1 << p
-            key = adj[p] | 1 << p
-            closed_groups[key] = closed_groups.get(key, 0) | 1 << p
+        for p in bits(live):
+            row = adj[p] & live
+            open_groups[row] = open_groups.get(row, 0) | 1 << p
+            closed_groups[row | 1 << p] = closed_groups.get(row | 1 << p, 0) | 1 << p
         cached = [m for groups in (open_groups, closed_groups)
                   for m in groups.values() if m & (m - 1)]
         cached += [1 << p for p in bits(g._vmask & ~sum(cached))]

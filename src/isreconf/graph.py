@@ -1,11 +1,11 @@
-"""Immutable simple graphs over stable integer vertex IDs.
+"""Simple graphs over stable integer vertex IDs.
 
 Adjacency is one Python-int bitmask per vertex.  Bit positions are fixed
-when a root graph is built and are inherited by every derived subgraph,
-so deleting vertices is a handful of mask ANDs, IDs are never renumbered
-or reused, and sets can be moved between a graph and its subgraphs
-without translation.  All values are immutable after construction and
-every operation is a pure function returning a new value.
+when a root graph is built and inherited by every derived subgraph, so
+sets move between a graph and its subgraphs without translation.  A
+derived subgraph is a view: it holds the root's row list and ``_vmask``
+marks its live positions, so a row read not already ANDed with a subset
+of ``_vmask`` must AND ``_vmask``.  Only the ``_memo`` cache ever changes.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class Graph:
         return g
 
     def _derive(self, vmask: int) -> "Graph":
-        """Subgraph on the given position mask, sharing the position space."""
+        """Subgraph on the given position mask: a view sharing the root's rows."""
         key = ("sub", vmask)
         cached = self._memo.get(key)
         if cached is not None:
@@ -82,11 +82,7 @@ class Graph:
         g = object.__new__(Graph)
         g._uid = self._uid
         g._pos = self._pos
-        adj = [0] * len(self._uid)
-        old = self._adj
-        for p in bits(vmask):
-            adj[p] = old[p] & vmask
-        g._adj = adj
+        g._adj = self._adj
         g._vmask = vmask
         g._memo = {}
         self._memo[key] = g
@@ -121,7 +117,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(self._adj[p].bit_count() for p in bits(self._vmask)) // 2
+        return sum((self._adj[p] & self._vmask).bit_count() for p in bits(self._vmask)) // 2
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -145,19 +141,20 @@ class Graph:
         p = self._pos.get(v)
         if p is None or not (self._vmask >> p) & 1:
             raise InputError(f"unknown vertex id {v!r}")
-        return self._idset(self._adj[p])
+        return self._idset(self._adj[p] & self._vmask)
 
     def degree(self, v: int) -> int:
         p = self._pos.get(v)
         if p is None or not (self._vmask >> p) & 1:
             raise InputError(f"unknown vertex id {v!r}")
-        return self._adj[p].bit_count()
+        return (self._adj[p] & self._vmask).bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, ordered lexicographically."""
         uid = self._uid
-        for p in bits(self._vmask):
-            for q in bits(self._adj[p] >> (p + 1) << (p + 1)):
+        live = self._vmask
+        for p in bits(live):
+            for q in bits(self._adj[p] & (live >> (p + 1) << (p + 1))):
                 yield uid[p], uid[q]
 
     # -- set operations ------------------------------------------------------
@@ -177,7 +174,7 @@ class Graph:
         adj = self._adj
         for p in bits(m):
             nb |= adj[p]
-        return self._idset(nb & ~m)
+        return self._idset(nb & self._vmask & ~m)
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         """True iff no edge joins two of the given vertices."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import _root_child_masks, quotient_adjacency
-from .graph import Graph, bits, reserve_stack
+from .graph import Graph, bits
 
 
 @dataclass(frozen=True)
@@ -37,33 +37,34 @@ def alpha(g: Graph) -> AlphaResult:
 
 
 def _alpha_mask(g: Graph) -> tuple[int, int]:
-    """Alpha and the witness as a position mask; the solvers' form of ``alpha``."""
-    if g.n <= 1:
-        return g.n, g._vmask
-    cached = g._memo.get("alpha_mask")
-    if cached is None:
-        reserve_stack(g.n)  # _alpha_node recurses once per decomposition level
-        cached = _alpha_node(g)
-    return cached
+    """Alpha and a witness position mask, memoised per module subgraph.
 
-
-def _alpha_node(g: Graph) -> tuple[int, int]:
-    """Size and position mask of a witness, memoised; disjoint children's masks add."""
+    Unsolved module subgraphs are gathered parents-first and solved in
+    reverse, children first; disjoint children's masks add.
+    """
     if g.n <= 1:
         return g.n, g._vmask
     cached = g._memo.get("alpha_mask")
     if cached is not None:
         return cached
-    kind, masks = _root_child_masks(g)
-    parts = [_alpha_node(g._derive(m)) for m in masks]
-    if kind == "parallel":
-        result = (sum(p[0] for p in parts), sum(p[1] for p in parts))
-    elif kind == "series":
-        result = max(parts, key=lambda p: p[0])
-    else:
-        result = _alpha_prime(g, masks, parts)
-    g._memo["alpha_mask"] = result
-    return result
+    order = []
+    todo = [g]
+    while todo:
+        h = todo.pop()
+        kids = [h._derive(m) for m in _root_child_masks(h)[1]]
+        order.append((h, kids))
+        todo.extend(c for c in kids if c.n > 1 and "alpha_mask" not in c._memo)
+    for h, kids in reversed(order):
+        kind, masks = _root_child_masks(h)
+        parts = [_alpha_mask(c) for c in kids]
+        if kind == "parallel":
+            result = (sum(p[0] for p in parts), sum(p[1] for p in parts))
+        elif kind == "series":
+            result = max(parts, key=lambda p: p[0])
+        else:
+            result = _alpha_prime(h, masks, parts)
+        h._memo["alpha_mask"] = result
+    return g._memo["alpha_mask"]
 
 
 def _alpha_prime(g: Graph, child_masks: list[int], parts: list[tuple[int, int]]) -> tuple[int, int]:

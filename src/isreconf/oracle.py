@@ -49,7 +49,7 @@ def _successors(rule: Rule, g: Graph, state: int) -> list[int]:
         return out
     for p in bits(state):
         rest = state & ~(1 << p)
-        targets = adj[p] if rule.kind == TS else live & ~state
+        targets = adj[p] & live if rule.kind == TS else live & ~state
         for q in bits(targets & ~state):
             if not adj[q] & rest:
                 out.append(rest | (1 << q))
@@ -102,16 +102,15 @@ def brute_alpha(g: Graph) -> int:
     if g.n > 24:
         raise OracleCapError("brute alpha is limited to 24 vertices")
     adj = g._adj
+    live = list(bits(g._vmask))
     best = 0
     for state in range(1 << g.n):
         mask = 0
-        ok = True
-        for p in bits(state):
-            if adj[p] & mask:
-                ok = False
+        for i in bits(state):
+            if adj[live[i]] & mask:
                 break
-            mask |= 1 << p
-        if ok:
+            mask |= 1 << live[i]
+        else:
             best = max(best, state.bit_count())
     return best
 

@@ -44,6 +44,16 @@ def random_graph(rng: random.Random, n: int, p: float, first=1) -> Graph:
     return Graph(ids, edges)
 
 
+def threshold_graph(seed: int, n: int) -> Graph:
+    """Each new vertex is isolated or dominating; the decomposition is about n/2 deep."""
+    rng = random.Random(seed)
+    edges = []
+    for v in range(1, n):
+        if rng.random() < 0.5:
+            edges += [(u, v) for u in range(v)]
+    return Graph(range(n), edges)
+
+
 def random_independent_set(rng: random.Random, g: Graph, keep=0.7) -> frozenset[int]:
     chosen: set[int] = set()
     for v in rng.sample(list(g.ids), g.n):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from isreconf import (GenProfile, Graph, InputError, OracleCapError, Rule,
+from isreconf import (GenProfile, Graph, InputError, OracleCapError, Rule, alpha, brute_alpha,
                       brute_modular_width, gen_instance, modular_width,
                       oracle_lambda, oracle_reach)
 
@@ -113,3 +113,17 @@ def test_substitution_width_examples():
     # edgeless sides joined completely form K_{3,3}, width 2
     k33 = Graph(range(1, 7), [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
     assert modular_width(k33) == 2 == brute_modular_width(k33)
+
+
+def test_brute_alpha_enumerates_live_positions_of_a_derived_graph():
+    g = Graph(range(1, 6), [(4, 5)])
+    sub = g.induced_subgraph({4, 5})
+    assert brute_alpha(sub) == alpha(sub).size == 1
+    assert brute_alpha(g.delete_vertices({1, 2})) == 2
+
+
+def test_ts_oracle_slides_only_to_live_vertices_of_a_derived_graph():
+    # in the path 1-2-3-4 without 2, vertex 1 is isolated and its token stuck
+    h = path_graph([1, 2, 3, 4]).delete_vertices({2})
+    assert not oracle_reach(Rule.ts(), h, {1}, {3})
+    assert oracle_reach(Rule.ts(), h, {3}, {4})
