@@ -70,10 +70,31 @@ def _parse_profile(text: str) -> GenProfile:
     return GenProfile(n=n, width=width, rule=rule)
 
 
-def _tree_json(node: MDNode) -> dict:
-    if node.kind == "leaf":
-        return {"kind": "leaf", "v": node.vertex}
-    return {"kind": node.kind, "children": [_tree_json(c) for c in node.children]}
+def _tree_text(tree: MDNode, indent: int | None) -> str:
+    """The tree as ``json.dumps`` writes it one level into an object, from an
+    explicit stack: ``json.dumps`` nests two calls per decomposition level."""
+    def pad(level: int) -> str:
+        return "" if indent is None else "\n" + " " * (indent * level)
+
+    comma = ", " if indent is None else ","
+    out = []
+    todo: list = [(tree, 2)]   # a node with the indent level of its keys, or text
+    while todo:
+        node, level = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        head = f'{{{pad(level)}"kind": "{node.kind}"{comma}{pad(level)}'
+        tail = pad(level - 1) + "}"
+        if node.kind == "leaf":
+            out.append(f'{head}"v": {node.vertex}{tail}')
+            continue
+        out.append(f'{head}"children": [{pad(level + 1)}')
+        todo.append((f"{pad(level)}]{tail}", 0))
+        # the children, last one pushed first, with a separator between each two
+        sep = (comma + pad(level + 1), 0)
+        todo += [x for c in reversed(node.children) for x in (sep, (c, level + 2))][1:]
+    return "".join(out)
 
 
 def _sequence_json(seq: ReconfSequence) -> list[dict]:
@@ -94,16 +115,19 @@ def cmd_decompose(args) -> int:
     started = time.perf_counter()
     tree = md_tree(g)
     classes = nd_partition(g)
-    _emit({
+    out = {
         "answer": "ok",
         "n": g.n,
         "m": g.m,
         "width": modular_width(g),
         "nd": len(classes),
         "classes": [{"kind": c.kind, "members": sorted(c.members)} for c in classes],
-        "tree": _tree_json(tree),
+        "tree": None,
         "stats": _run_stats(g, started),
-    }, args.json)
+    }
+    indent = None if args.json else 2  # the tree is spliced in as text, written without recursion
+    print(json.dumps(out, indent=indent).replace(
+        '"tree": null', '"tree": ' + _tree_text(tree, indent), 1))
     return 0
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from . import stats
 from .errors import InputError, InternalError
-from .graph import Graph, bits, reserve_stack
+from .graph import Graph, bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class MDNode:
     """One node of a modular decomposition tree."""
 
@@ -27,9 +27,10 @@ class MDNode:
     vertex: int | None = None      # set for leaves only
 
     def leaf_count(self) -> int:
-        if self.kind == "leaf":
-            return 1
-        return sum(c.leaf_count() for c in self.children)
+        return len(self.span)
+
+    def __repr__(self) -> str:
+        return f"MDNode({self.kind}, {len(self.span)} vertices, {len(self.children)} children)"
 
 
 @dataclass(frozen=True)
@@ -200,23 +201,31 @@ def quotient_adjacency(g: Graph, masks: list[int]) -> list[int]:
     return qadj
 
 
+def _modules(g: Graph, key: str) -> list[tuple[Graph, list[Graph]]]:
+    """Module subgraphs of g with 2+ vertices and their children, parents first, leaving
+    out subtrees whose memo holds ``key``; the tree walks fill ``key`` in reverse."""
+    order = []
+    todo = [g] if g.n > 1 and key not in g._memo else []
+    while todo:
+        h = todo.pop()
+        kids = [h._derive(m) for m in _root_child_masks(h)[1]]
+        order.append((h, kids))
+        todo.extend(c for c in kids if c.n > 1 and key not in c._memo)
+    return order
+
+
 def md_tree(g: Graph) -> MDNode:
     """Modular decomposition tree of a nonempty graph."""
     if g.n == 0:
         raise InputError("modular decomposition needs a nonempty graph")
-    reserve_stack(g.n)
-    cached = g._memo.get("mdtree")
-    if cached is not None:
-        return cached
-    if g.n == 1:
-        v = g.ids[0]
-        node = MDNode("leaf", frozenset((v,)), vertex=v)
-    else:
-        kind, masks = _root_child_masks(g)
-        children = tuple(md_tree(g._derive(m)) for m in masks)
-        node = MDNode(kind, g.vertices, children)
-    g._memo["mdtree"] = node
-    return node
+    for h, kids in reversed(_modules(g, "mdtree")):
+        h._memo["mdtree"] = MDNode(_root_child_masks(h)[0], h.vertices, tuple(map(_md_node, kids)))
+    return _md_node(g)
+
+
+def _md_node(h: Graph) -> MDNode:
+    """The memoised tree of a module subgraph, or the leaf of a single vertex."""
+    return h._memo["mdtree"] if h.n > 1 else MDNode("leaf", h.vertices, vertex=h.ids[0])
 
 
 def top_partition(g: Graph) -> list[frozenset[int]]:
@@ -237,24 +246,18 @@ def modular_width(g: Graph) -> int:
 
     Equals the maximum child count over prime nodes of the decomposition
     tree; any graph with at least two vertices needs width 2 even when
-    cograph operations suffice.  The tree is walked by a worklist over
-    the module subgraphs, without building ``MDNode`` values.
+    cograph operations suffice.  The module subgraphs are walked without
+    building ``MDNode`` values.
     """
     if g.n == 0:
         raise InputError("modular width of the empty graph is undefined")
-    cached = g._memo.get("mw")
-    if cached is not None:
-        return cached
-    width = 1 if g.n == 1 else 2
-    todo = [g] if g.n >= 2 else []
-    while todo:
-        h = todo.pop()
+    if g.n == 1:
+        return 1
+    for h, kids in reversed(_modules(g, "mw")):
         kind, masks = _root_child_masks(h)
-        if kind == "prime":
-            width = max(width, len(masks))
-        todo.extend(h._derive(m) for m in masks if m & (m - 1))
-    g._memo["mw"] = width
-    return width
+        h._memo["mw"] = max([len(masks) if kind == "prime" else 2]
+                            + [c._memo["mw"] for c in kids if c.n > 1])
+    return g._memo["mw"]
 
 
 def nd_partition(g: Graph) -> list[TwinClass]:

@@ -10,7 +10,6 @@ of ``_vmask`` must AND ``_vmask``.  Only the ``_memo`` cache ever changes.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -22,18 +21,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def reserve_stack(n: int) -> None:
-    """Raise the recursion limit for decomposition-deep inputs.
-
-    Cograph-like graphs can nest n/2 decomposition levels, and the solvers
-    recurse a few frames per level; the default limit of 1000 dies around
-    800 vertices on such inputs.
-    """
-    need = min(4000 + 12 * n, 120_000)
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
 
 
 class Graph:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import _root_child_masks, quotient_adjacency
+from .decomposition import _modules, _root_child_masks, quotient_adjacency
 from .graph import Graph, bits
 
 
@@ -39,22 +39,12 @@ def alpha(g: Graph) -> AlphaResult:
 def _alpha_mask(g: Graph) -> tuple[int, int]:
     """Alpha and a witness position mask, memoised per module subgraph.
 
-    Unsolved module subgraphs are gathered parents-first and solved in
-    reverse, children first; disjoint children's masks add.
+    Unsolved module subgraphs are solved children first; disjoint
+    children's masks add.
     """
     if g.n <= 1:
         return g.n, g._vmask
-    cached = g._memo.get("alpha_mask")
-    if cached is not None:
-        return cached
-    order = []
-    todo = [g]
-    while todo:
-        h = todo.pop()
-        kids = [h._derive(m) for m in _root_child_masks(h)[1]]
-        order.append((h, kids))
-        todo.extend(c for c in kids if c.n > 1 and "alpha_mask" not in c._memo)
-    for h, kids in reversed(order):
+    for h, kids in reversed(_modules(g, "alpha_mask")):
         kind, masks = _root_child_masks(h)
         parts = [_alpha_mask(c) for c in kids]
         if kind == "parallel":

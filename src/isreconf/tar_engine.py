@@ -1,26 +1,28 @@
 """Largest TAR(k)-reachable independent set, with witness sequences.
 
-The driver decomposes the graph once, recursively builds per-module answer
-tables, and then runs a rule loop that either deletes provably irrelevant
+The engine decomposes the graph once, builds an answer table per module,
+and then runs a rule loop that either deletes provably irrelevant
 vertices or grows the working set, until a fixpoint whose size is exactly
 the optimum.  Tables are filled lazily per threshold because the loop
 usually probes only a handful of them.
 
 Below the public functions everything works on position masks: a table
-is a plain callable from a threshold to ``(reached mask, rope)``, and
-vertex-ID sets are built only where a public function returns.
+maps a threshold to ``(reached mask, rope)``, and vertex-ID sets are built
+only where a public function returns.  The rule loop is a generator that
+yields each table entry it reads, so the tables of a decomposition are
+filled from one explicit stack rather than by calls nested per level.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Generator, Mapping, Sequence
 
 from . import stats
 from .decomposition import (_clique_class, _drop, _is_module_mask, _module_mask,
                             _root_child_masks, _twin_masks, quotient_adjacency)
 from .errors import InputError, InternalError
-from .graph import Graph, bits, reserve_stack
+from .graph import Graph, bits
 from .mis import _alpha_mask
 from .moveseq import EMPTY, MoveRope, adds, removes
 from .rules import Move, ReconfSequence, Rule, _replay
@@ -239,6 +241,7 @@ class EngineState:
 
 
 Table = Callable[[int], tuple[int, MoveRope]]
+Steps = Generator[tuple[Table, int], tuple[int, MoveRope], tuple[int, MoveRope]]
 
 
 def _entry(g: Graph, table: Mapping[int, LambdaResult], i: int, pm: int,
@@ -256,10 +259,32 @@ def _entry(g: Graph, table: Mapping[int, LambdaResult], i: int, pm: int,
     return rmask, e._rope
 
 
+def _run(steps: Steps) -> tuple[int, MoveRope]:
+    """Run a rule loop; the solver entries it reads that are not cached yet
+    are filled on an explicit stack of suspended rule loops."""
+    stack = [steps]
+    reply = None
+    while True:
+        try:
+            table, j = stack[-1].send(reply)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            reply = done.value
+            continue
+        reply = table.cache.get(j) if isinstance(table, _Solver) else table(j)
+        if reply is None:
+            stack.append(table._fill(j))
+
+
 def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
                      tables: list[Table | None], alphas: list[tuple[int, int]],
-                     check: bool = False) -> tuple[int, MoveRope]:
-    """The rule loop on a seed mask; ``alphas`` holds each part's alpha and witness mask."""
+                     check: bool = False) -> Steps:
+    """The rule loop on a seed mask; ``alphas`` holds each part's alpha and witness mask.
+
+    It reads a table entry by yielding ``(table, threshold)`` to ``_run``.
+    """
     st = EngineState(g, k, seed, part_masks)
 
     # preprocessing: dump seed-free parts, splice seeded parts to their table optimum
@@ -270,7 +295,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
         else:
             st.live[i] = True
             st.thr[i] = (st.r & pm).bit_count()
-            rmask, rope = tables[i](st.thr[i])
+            rmask, rope = yield tables[i], st.thr[i]
             st.rope = MoveRope.cat(st.rope, rope)
             st.mod_ropes[i] = rope
             st.r = (st.r & ~pm) | rmask
@@ -342,7 +367,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
             else:
                 if j > st.thr[i]:
                     raise InternalError("requested threshold above the stored one")
-                rmask, rope = tables[i](j)
+                rmask, rope = yield tables[i], j
                 if rmask.bit_count() > cur:
                     delta = MoveRope.cat(MoveRope.rev(st.mod_ropes[i]), rope)
                     st.rope = MoveRope.cat(st.rope, delta)
@@ -361,28 +386,31 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
     return st.r, st.rope
 
 
-def _make_solver(g: Graph, seed: int, check: bool = False) -> Table:
+class _Solver:
     """The table of ``g`` for a seed mask, each threshold solved on first request."""
-    cache: dict[int, tuple[int, MoveRope]] = {}
-    setup: list = []
 
-    def solve(j: int) -> tuple[int, MoveRope]:
-        hit = cache.get(j)
-        if hit is None:
-            if j == 0:
-                _, w = _alpha_mask(g)
-                hit = w, MoveRope.cat(removes(g._ids(seed & ~w)), adds(g._ids(w & ~seed)))
+    def __init__(self, g: Graph, seed: int, check: bool = False):
+        self.g, self.seed, self.check = g, seed, check
+        self.cache: dict[int, tuple[int, MoveRope]] = {}
+        self.parts = False             # ``_root_tables``, built on first use
+
+    def __call__(self, j: int) -> tuple[int, MoveRope]:
+        return self.cache.get(j) or _run(self._fill(j))
+
+    def _fill(self, j: int) -> Steps:
+        g, seed = self.g, self.seed
+        if j == 0:
+            _, w = _alpha_mask(g)
+            hit = w, MoveRope.cat(removes(g._ids(seed & ~w)), adds(g._ids(w & ~seed)))
+        else:
+            if self.parts is False:
+                self.parts = _root_tables(g, seed, self.check)
+            if self.parts is None:
+                hit = _class_search(g, j, seed)
             else:
-                if not setup:
-                    setup.append(_root_tables(g, seed, check))
-                if setup[0] is None:
-                    hit = _class_search(g, j, seed)
-                else:
-                    hit = _lambda_step_raw(g, j, seed, *setup[0], check)
-            cache[j] = hit
+                hit = yield from _lambda_step_raw(g, j, seed, *self.parts, self.check)
+        self.cache[j] = hit
         return hit
-
-    return solve
 
 
 def _root_tables(g: Graph, seed: int, check: bool
@@ -394,7 +422,7 @@ def _root_tables(g: Graph, seed: int, check: bool
     if all(pm.bit_count() == 1 for pm in part_masks):
         return None
     subs = [g._derive(pm) for pm in part_masks]
-    tables = [_make_solver(sub, seed & pm, check) if seed & pm else None
+    tables = [_Solver(sub, seed & pm, check) if seed & pm else None
               for sub, pm in zip(subs, part_masks)]
     return part_masks, tables, [_alpha_mask(sub) for sub in subs]
 
@@ -432,22 +460,20 @@ def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
         raise InputError("parts must cover the vertex set")
     read = [partial(_entry, g, t, i, pm) for i, (t, pm) in enumerate(zip(tables, part_masks))]
     alphas = [_alpha_mask(g._derive(pm)) for pm in part_masks]
-    return _result(g, seed, k, _lambda_step_raw(g, k, smask, part_masks, read, alphas, check))
+    return _result(g, seed, k, _run(_lambda_step_raw(g, k, smask, part_masks, read, alphas, check)))
 
 
 def lambda_single(g: Graph, seed, k: int, *, check: bool = False) -> LambdaResult:
     """Largest independent set reachable from the seed under TAR(k)."""
-    reserve_stack(g.n)
     seed = frozenset(seed)
     smask = _seed_mask(g, seed)
     if k < 0 or k > len(seed):
         raise InputError(f"floor {k} outside [0, {len(seed)}]")
-    return _result(g, seed, k, _make_solver(g, smask, check)(k))
+    return _result(g, seed, k, _Solver(g, smask, check)(k))
 
 
 def lambda_all(g: Graph, seed, *, check: bool = False) -> dict[int, LambdaResult]:
     """Table of largest reachable sets for every floor from 1 to |seed|."""
-    reserve_stack(g.n)
     seed = frozenset(seed)
-    solve = _make_solver(g, _seed_mask(g, seed), check)
+    solve = _Solver(g, _seed_mask(g, seed), check)
     return {j: _result(g, seed, j, solve(j)) for j in range(1, len(seed) + 1)}

@@ -4,7 +4,7 @@ Connected graphs are simplified one module at a time: either both sides
 can vacate a module with internal edges (then the module shrinks to a
 maximum independent set), or neither can (then the module's entire
 neighborhood is unusable and is dropped).  Disconnected graphs normalize
-both sides to their largest reachable sets and recurse per component.
+both sides to their largest reachable sets and split into components.
 Every yes answer carries a replayable witness sequence.
 
 The solvers take and return position masks and call the engine and
@@ -17,11 +17,11 @@ from __future__ import annotations
 from .decomposition import (_clique_class, _drop, _fence, _module_mask, _root_child_masks,
                             _twin_masks)
 from .errors import InputError, InternalError
-from .graph import Graph, reserve_stack
+from .graph import Graph
 from .mis import _alpha_mask, alpha
 from .moveseq import EMPTY, MoveRope, adds, removes
 from .rules import ReconfSequence, Rule, tj_threshold
-from .tar_engine import _class_search, _make_solver, _seed_mask
+from .tar_engine import _class_search, _Solver, _seed_mask
 
 
 class ReachAnswer:
@@ -49,16 +49,11 @@ class ReachAnswer:
         return f"ReachAnswer({'yes' if self.reachable else 'no'}{tail})"
 
 
-def _trivial_rope(g: Graph, s: int, t: int) -> MoveRope:
-    # with no effective floor, tear down one side and build the other
-    return MoveRope.cat(removes(g._ids(s & ~t)), adds(g._ids(t & ~s)))
-
-
 def _empty_module_rope(g: Graph, seed: int, module: int,
                        k: int) -> tuple[int, MoveRope] | None:
     if not seed & module:
         return seed, EMPTY
-    reached, rope = _make_solver(g._derive(g._vmask & ~_fence(g, module)), seed)(max(k, 0))
+    reached, rope = _Solver(g._derive(g._vmask & ~_fence(g, module)), seed)(max(k, 0))
     if (reached & ~module).bit_count() < k:
         return None
     return reached & ~module, MoveRope.cat(rope, removes(g._ids(reached & module)))
@@ -103,30 +98,7 @@ def reduce_empty_module(g: Graph, module, s, t) -> Graph:
 
 
 def _reach_nd(g: Graph, k: int, s: int, t: int) -> MoveRope | None:
-    if k <= 0:
-        return _trivial_rope(g, s, t)
-    if s == t:
-        return EMPTY
-    tm = next((m for m in _twin_masks(g) if _clique_class(g, m)), None)
-    if tm is None:
-        out = _class_search(g, k, s, t)
-        return None if out is None else out[1]
-
-    es = _empty_module_rope(g, s, tm, k)
-    et = _empty_module_rope(g, t, tm, k)
-    if (es is None) != (et is None):
-        return None
-    if es is not None:
-        s2, rs = es
-        t2, rt = et
-        sub = _reach_nd(_drop(g, tm & (tm - 1)), k, s2, t2)  # keeps the lowest member
-        if sub is None:
-            return None
-        return MoveRope.cat(MoveRope.cat(rs, sub), MoveRope.rev(rt))
-    # neither side can vacate a clique: the single token inside is pinned
-    if s & tm != t & tm:
-        return None
-    return _reach_nd(_drop(g, tm | _fence(g, tm)), k - 1, s & ~tm, t & ~tm)
+    return _reach_tar(g, k, s, t, classes=True)
 
 
 def reach_nd(g: Graph, k: int, s, t) -> ReachAnswer:
@@ -157,59 +129,88 @@ def _validated_pair(g: Graph, k: int, s, t) -> tuple[frozenset[int], int, int]:
     return s, smask, tmask
 
 
-def _reach_tar(g: Graph, k: int, s: int, t: int) -> MoveRope | None:
-    if k <= 0:
-        return _trivial_rope(g, s, t)
-    if s == t:
-        return EMPTY
+def _reach_tar(g: Graph, k: int, s: int, t: int, classes: bool = False) -> MoveRope | None:
+    """The TAR decision as a stack machine; ``classes`` runs ``reach_nd``'s twin-class mode.
 
-    comp_masks = g._component_masks()
-    if len(comp_masks) == 1:
-        _, part_masks = _root_child_masks(g)
-        pm = next((pm for pm in part_masks if not g._independent(pm)), None)
-        if pm is None:
-            return _reach_nd(g, k, s, t)
+    A step fails, or appends its prefix rope and pushes ``rev(rt)`` under
+    the subproblems that suffix wraps.  Components are pushed in reverse
+    and check their token counts when popped, so checks and ``_drop``s
+    run in the order of a depth-first recursion.
+    """
+    rope = EMPTY
+    todo: list = [(g, k, s, t, classes, False)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, MoveRope):
+            rope = MoveRope.cat(rope, item)
+            continue
+        g, k, s, t, classes, part = item
+        if part and s.bit_count() != t.bit_count():
+            return None
+        if k <= 0:  # no effective floor: tear down one side and build the other
+            rope = MoveRope.cat(rope, MoveRope.cat(removes(g._ids(s & ~t)), adds(g._ids(t & ~s))))
+            continue
+        if s == t:
+            continue
+
+        if classes:
+            pm = next((m for m in _twin_masks(g) if _clique_class(g, m)), None)
+            if pm is None:
+                out = _class_search(g, k, s, t)
+                if out is None:
+                    return None
+                rope = MoveRope.cat(rope, out[1])
+                continue
+        else:
+            comp_masks = g._component_masks()
+            if len(comp_masks) > 1:
+                # normalized to largest reachable sets, components keep their token counts
+                s2, rs = _Solver(g, s)(k)
+                t2, rt = _Solver(g, t)(k)
+                size = s2.bit_count()
+                if size != t2.bit_count():
+                    return None
+                rope = MoveRope.cat(rope, rs)
+                todo.append(MoveRope.rev(rt))
+                todo.extend((g._derive(cm), k - (size - (s2 & cm).bit_count()), s2 & cm, t2 & cm,
+                             False, True) for cm in reversed(comp_masks))
+                continue
+            _, part_masks = _root_child_masks(g)
+            pm = next((pm for pm in part_masks if not g._independent(pm)), None)
+            if pm is None:
+                todo.append((g, k, s, t, True, False))
+                continue
+
         es = _empty_module_rope(g, s, pm, k)
         et = _empty_module_rope(g, t, pm, k)
         if (es is None) != (et is None):
             return None
         if es is not None:
-            s2, rs = es
-            t2, rt = et
-            g2 = _drop(g, pm & ~_alpha_mask(g._derive(pm))[1])
-            if g2.n >= g.n:
-                raise InternalError("module reduction failed to shrink the graph")
-            sub = _reach_tar(g2, k, s2, t2)
-            if sub is None:
+            # both sides vacate the module: shrink it to a maximum independent set
+            (s2, rs), (t2, rt) = es, et
+            dead = pm & (pm - 1) if classes else pm & ~_alpha_mask(g._derive(pm))[1]
+            rope = MoveRope.cat(rope, rs)
+            todo.append(MoveRope.rev(rt))
+        elif classes:
+            # neither side can vacate a clique: the single token inside is pinned
+            if s & pm != t & pm:
                 return None
-            return MoveRope.cat(MoveRope.cat(rs, sub), MoveRope.rev(rt))
-        g2 = _drop(g, _fence(g, pm))
+            dead = pm | _fence(g, pm)
+            s2, t2 = s & ~pm, t & ~pm
+            k -= 1
+        else:
+            # neither side can vacate the module: its neighbourhood is unusable
+            dead = _fence(g, pm)
+            s2, t2 = s, t
+        g2 = _drop(g, dead)
         if g2.n >= g.n:
-            raise InternalError("connected graph had a module with no neighborhood")
-        return _reach_tar(g2, k, s, t)
-
-    # disconnected: normalize both sides to largest reachable sets, then
-    # token counts per component are conserved and components separate
-    s2, rs = _make_solver(g, s)(k)
-    t2, rt = _make_solver(g, t)(k)
-    size = s2.bit_count()
-    if size != t2.bit_count():
-        return None
-    rope = rs
-    for cm in comp_masks:
-        sc = (s2 & cm).bit_count()
-        if sc != (t2 & cm).bit_count():
-            return None
-        sub = _reach_tar(g._derive(cm), k - (size - sc), s2 & cm, t2 & cm)
-        if sub is None:
-            return None
-        rope = MoveRope.cat(rope, sub)
-    return MoveRope.cat(rope, MoveRope.rev(rt))
+            raise InternalError("a module step failed to shrink the graph")
+        todo.append((g2, k, s2, t2, classes, False))
+    return rope
 
 
 def reach_tar(g: Graph, k: int, s, t) -> ReachAnswer:
     """Decide TAR(k) reachability; yes answers carry a witness sequence."""
-    reserve_stack(g.n)
     s, smask, tmask = _validated_pair(g, k, s, t)
     rope = _reach_tar(g, k, smask, tmask)
     return ReachAnswer(rope is not None, Rule.tar(k), s, rope)
@@ -221,7 +222,6 @@ def reach_tj(g: Graph, s, t) -> ReachAnswer:
     The certificate is returned under that TAR rule; equal decisions are
     guaranteed, equal step shapes are not.
     """
-    reserve_stack(g.n)
     s = frozenset(s)
     smask, tmask = _pair_masks(g, s, t)
     k = tj_threshold(s)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .decomposition import _drop, _fence, _module_mask, _root_child_masks
 from .errors import InputError
-from .graph import Graph, bits, reserve_stack
+from .graph import Graph, bits
 from .tar_reach import _pair_masks
 
 
@@ -131,33 +131,40 @@ def _aux_decide(h: Graph, smask: int, tmask: int, vacancies: int) -> bool:
 
 def reach_ts(g: Graph, s, t) -> bool:
     """Decide whether two independent sets are connected by token slides."""
-    reserve_stack(g.n)
     return _reach_ts(g, *_pair_masks(g, s, t))
 
 
 def _reach_ts(g: Graph, s: int, t: int) -> bool:
-    if s.bit_count() != t.bit_count():
-        return False
-    if s == t:
-        return True
-
-    comp_masks = g._component_masks()
-    if len(comp_masks) > 1:
-        return all(_reach_ts(g._derive(cm), s & cm, t & cm) for cm in comp_masks)
-
-    _, parts = _root_child_masks(g)
-    for pm in parts:
-        if (s & pm).bit_count() >= 2:
-            h = _big_module(g, t, pm)
-            return h is not None and _reach_ts(h, s, t)
-    if any((t & pm).bit_count() >= 2 for pm in parts):
-        # symmetric two-token bound: no set reachable from s re-crowds a module
-        return False
-
-    vacancies = 0
-    for pm in parts:
-        if pm & (pm - 1):
-            g, t, used_vacancy = _shrink(g, s, t, pm)
-            if used_vacancy:
-                vacancies |= pm & g._vmask
-    return _aux_decide(g, s, t, vacancies)
+    """A worklist of subinstances; components are pushed in reverse, so they
+    are decided in order and the first failing one ends the search."""
+    todo = [(g, s, t)]
+    while todo:
+        g, s, t = todo.pop()
+        if s.bit_count() != t.bit_count():
+            return False
+        if s == t:
+            continue
+        comp_masks = g._component_masks()
+        if len(comp_masks) > 1:
+            todo.extend((g._derive(cm), s & cm, t & cm) for cm in reversed(comp_masks))
+            continue
+        _, parts = _root_child_masks(g)
+        big = next((pm for pm in parts if (s & pm).bit_count() >= 2), None)
+        if big is not None:
+            h = _big_module(g, t, big)
+            if h is None:
+                return False
+            todo.append((h, s, t))
+        elif any((t & pm).bit_count() >= 2 for pm in parts):
+            # symmetric two-token bound: no set reachable from s re-crowds a module
+            return False
+        else:
+            vacancies = 0
+            for pm in parts:
+                if pm & (pm - 1):
+                    g, t, used_vacancy = _shrink(g, s, t, pm)
+                    if used_vacancy:
+                        vacancies |= pm & g._vmask
+            if not _aux_decide(g, s, t, vacancies):
+                return False
+    return True

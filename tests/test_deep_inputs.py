@@ -1,0 +1,138 @@
+"""Decomposition-deep inputs under the caller's recursion limit.
+
+The solvers walk the decomposition and their reductions with explicit
+stacks, so no entry point nests calls per decomposition level or raises
+the recursion limit.  Each case runs with the limit set to the caller's
+frame depth plus 100, on an input that nested deeper than that when the
+solvers recursed (``modular_width`` and alpha already used worklists);
+results are pinned to the values computed then.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from isreconf import (Graph, alpha, lambda_all, lambda_single, md_tree, modular_width, reach_nd,
+                      reach_tar, reach_tj, reach_ts)
+from isreconf.cli import main
+from isreconf.dimacs import emit_graph
+
+from helpers import graphs
+from test_solver_core import threshold_instance
+
+
+def threshold300():
+    """The n=300 threshold graph of test_solver_core.py: about 150 levels deep."""
+    return threshold_instance(0, 300)
+
+
+def staircase(m=110):
+    """Vertex v of 0..2m-1 joins every earlier vertex iff v is odd.
+
+    The evens and ``{1} | evens - {0}`` are maximum independent sets that
+    differ at the bottom; ``reach_tar`` at floor m-1 used to nest 2m-1 calls.
+    """
+    g = Graph(range(2 * m), [(u, v) for v in range(1, 2 * m, 2) for u in range(v)])
+    return g, frozenset(range(0, 2 * m, 2)), frozenset({1, *range(2, 2 * m, 2)})
+
+
+def matching(m=120):
+    """m disjoint edges: m clique twin classes, which ``reach_nd`` used to nest one call each."""
+    g = Graph(range(2 * m), [(2 * i, 2 * i + 1) for i in range(m)])
+    return g, frozenset(range(0, 2 * m, 2)), frozenset(range(1, 2 * m, 2))
+
+
+def answer(ans):
+    return ans.reachable, len(ans.certificate.moves) if ans.reachable else None
+
+
+def tree(g, s, t):
+    root = md_tree(g)
+    return root.leaf_count(), repr(root)
+
+
+def table(g, s, t):
+    out = lambda_all(g, s)
+    return sorted({r.size for r in out.values()}), sum(len(r.sequence.moves) for r in out.values())
+
+
+@contextlib.contextmanager
+def graph_file(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.gr"
+        path.write_text(emit_graph(g))
+        yield str(path)
+
+
+def decompose(g, *flags):
+    with graph_file(g) as path, contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["decompose", path, *flags]) == 0
+    return out.getvalue()
+
+
+def decompose_digest(g, s, t):
+    # DIMACS numbers vertices from 1
+    g = Graph([v + 1 for v in g.ids], [(u + 1, v + 1) for u, v in g.edges()])
+    text = decompose(g, "--json").split(', "stats"')[0]  # the stats hold a timing
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+CASES = {  # name: (input, call, result)
+    "md_tree": (threshold300, tree, (300, "MDNode(series, 300 vertices, 3 children)")),
+    "modular_width": (threshold300, lambda g, s, t: modular_width(g), 2),
+    "alpha": (threshold300, lambda g, s, t: alpha(g).size, 155),
+    "lambda_single": (threshold300, lambda g, s, t: lambda_single(g, s, len(s) // 2).size, 155),
+    "lambda_all": (threshold300, table, ([64, 155], 9671)),
+    "reach_tar": (staircase, lambda g, s, t: answer(reach_tar(g, 109, s, t)), (True, 2)),
+    "reach_tj": (threshold300, lambda g, s, t: answer(reach_tj(g, s, t)), (True, 186)),
+    "reach_nd": (matching, lambda g, s, t: answer(reach_nd(g, 1, s, t)), (True, 478)),
+    "reach_ts": (threshold300, lambda g, s, t: reach_ts(g, s, t), True),
+    "decompose": (threshold300, decompose_digest,
+                  "1fc01a9db5f23f90c8975c0f4780640ddb0bb4001ce711f6fcd2f92adeea4a54"),
+}
+
+
+def frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_deep_input_leaves_the_recursion_limit_alone(name):
+    make, call, want = CASES[name]
+    g, s, t = make()
+    old = sys.getrecursionlimit()
+    limit = frame_depth() + 100
+    sys.setrecursionlimit(limit)
+    try:
+        got = call(g, s, t)
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == want
+
+
+def tree_json(node):
+    """The nested object that ``decompose`` used to hand to ``json.dumps``."""
+    if node.kind == "leaf":
+        return {"kind": "leaf", "v": node.vertex}
+    return {"kind": node.kind, "children": [tree_json(c) for c in node.children]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=9))
+def test_decompose_output_equals_json_dumps_of_the_nested_tree(g):
+    for flags, indent in ((["--json"], None), ([], 2)):
+        text = decompose(g, *flags)
+        obj = json.loads(text)
+        assert obj["tree"] == tree_json(md_tree(g))
+        assert text == json.dumps(obj, indent=indent) + "\n"

@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 from hypothesis import given, settings
 
@@ -7,7 +5,7 @@ from isreconf import (AlphaResult, GenProfile, Graph, InternalError, alpha, brut
                       gen_instance, md_tree, mis, top_partition)
 from isreconf.graph import bits
 
-from helpers import complete_graph, cycle_graph, edgeless_graph, graphs, threshold_graph
+from helpers import complete_graph, cycle_graph, edgeless_graph, graphs
 
 
 def test_alpha_complete_and_edgeless():
@@ -134,19 +132,3 @@ def test_alpha_solves_each_prime_node_once(monkeypatch):
     for sub in subs:
         alpha(sub)
     assert len(calls) == primes
-
-
-def test_alpha_leaves_the_recursion_limit_alone():
-    # a threshold graph nests about n/2 decomposition levels; alpha walks
-    # them with a worklist, so it neither recurses per level nor raises the limit
-    g = threshold_graph(0, 1500)
-    # the vertices with no earlier neighbour are pairwise non-adjacent, and a
-    # vertex dominating earlier ones can only join later vertices added isolated
-    size = sum(min(g.neighbors(v), default=v) >= v for v in g.ids)
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        assert alpha(g).size == size
-        assert sys.getrecursionlimit() == 1000
-    finally:
-        sys.setrecursionlimit(old)
