@@ -289,9 +289,13 @@ def cmd_bench(args) -> int:
         seeds = range(int(first), int(last))
     except ValueError:
         raise InputError(f"--seeds must look like 0:20: {args.seeds!r}") from None
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1 (got {args.workers})")
     tasks = [(seed, args.profile, args.oracle_cap) for seed in seeds]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a fork-based pool starts every worker at the first submit, so never more than tasks
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:
         rows = [_bench_one(t) for t in tasks]

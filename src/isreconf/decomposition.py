@@ -57,10 +57,7 @@ def _module_mask(g: Graph, module) -> int:
 
 
 def _is_module_mask(g: Graph, m: int) -> bool:
-    adj = g._adj
-    outside = _fence(g, m)
-    keep = g._vmask & ~m
-    return all(adj[p] & keep == outside for p in bits(m))
+    return _min_module(g, m) == m
 
 
 def _fence(g: Graph, module: int) -> int:
@@ -87,19 +84,18 @@ def _min_module(g: Graph, seed: int) -> int:
     A vertex outside the working set W splits W if it has both a neighbor
     and a non-neighbor inside; the closure adds all splitters until none
     remain.  Tracked incrementally: X collects vertices seeing a member,
-    Y collects vertices missing a member.
+    Y keeps the vertices seeing every member, so X & ~Y holds the splitters.
     """
     live = g._vmask
     adj = g._adj
-    w = seed
+    w = pending = seed
     x = 0
-    y = 0
-    pending = seed
+    y = -1
     while True:
         for p in bits(pending):
             x |= adj[p]
-            y |= live & ~adj[p] & ~(1 << p)
-        splitters = x & y & live & ~w
+            y &= adj[p]
+        splitters = x & ~y & live & ~w
         if not splitters:
             return w
         w |= splitters

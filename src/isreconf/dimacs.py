@@ -165,14 +165,15 @@ def build_instance(g: Graph, sidecar: dict, rule_flag: str | None = None,
     if kind == TAR:
         if k is None:
             raise InputError("rule tar requires a threshold k")
-        rule = Rule.tar(int(k))
+        if type(k) is not int:
+            raise InputError(f"threshold k must be an integer (got {k!r})")
+        rule = Rule.tar(k)
     else:
         rule = Rule(kind)
-    try:
-        start = frozenset(int(v) for v in sidecar["start"])
-        target = frozenset(int(v) for v in sidecar["target"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError("sidecar must carry integer arrays 'start' and 'target'") from None
+    sides = [sidecar.get(name) for name in ("start", "target")]
+    if any(type(side) is not list or any(type(v) is not int for v in side) for side in sides):
+        raise InputError("sidecar must carry integer arrays 'start' and 'target'")
+    start, target = map(frozenset, sides)
     for name, side in (("start", start), ("target", target)):
         if not g.is_independent(side):
             raise InputError(f"{name} set is not independent")

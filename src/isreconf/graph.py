@@ -52,12 +52,8 @@ class Graph:
     @classmethod
     def _from_adj(cls, ids: list[int], adj: list[int]) -> "Graph":
         """Adopt prebuilt adjacency masks; ids must be sorted, masks symmetric."""
-        g = object.__new__(cls)
-        g._uid = tuple(ids)
-        g._pos = {v: i for i, v in enumerate(ids)}
+        g = cls(ids)
         g._adj = adj
-        g._vmask = (1 << len(ids)) - 1
-        g._memo = {}
         return g
 
     def _derive(self, vmask: int) -> "Graph":
@@ -77,15 +73,20 @@ class Graph:
 
     # -- mask helpers ------------------------------------------------------
 
+    def _position(self, v) -> int:
+        """Position of the live vertex ``v``; InputError for any other value."""
+        try:
+            p = self._pos[v]
+            if (self._vmask >> p) & 1:
+                return p
+        except (KeyError, TypeError):       # not an ID of the root, or unhashable
+            pass
+        raise InputError(f"unknown vertex id {v!r}")
+
     def _mask(self, vertices: Iterable[int]) -> int:
         m = 0
-        pos = self._pos
-        vmask = self._vmask
         for v in vertices:
-            p = pos.get(v)
-            if p is None or not (vmask >> p) & 1:
-                raise InputError(f"unknown vertex id {v!r}")
-            m |= 1 << p
+            m |= 1 << self._position(v)
         return m
 
     def _ids(self, mask: int) -> tuple[int, ...]:
@@ -120,21 +121,13 @@ class Graph:
         return p is not None and bool((self._vmask >> p) & 1)
 
     def has_edge(self, u: int, v: int) -> bool:
-        m = self._mask((u, v))
-        p = self._pos[u]
-        return bool(self._adj[p] & m & ~(1 << p))
+        return bool(self._adj[self._position(u)] >> self._position(v) & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        p = self._pos.get(v)
-        if p is None or not (self._vmask >> p) & 1:
-            raise InputError(f"unknown vertex id {v!r}")
-        return self._idset(self._adj[p] & self._vmask)
+        return self._idset(self._adj[self._position(v)] & self._vmask)
 
     def degree(self, v: int) -> int:
-        p = self._pos.get(v)
-        if p is None or not (self._vmask >> p) & 1:
-            raise InputError(f"unknown vertex id {v!r}")
-        return (self._adj[p] & self._vmask).bit_count()
+        return (self._adj[self._position(v)] & self._vmask).bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, ordered lexicographically."""
@@ -197,27 +190,25 @@ class Graph:
         return cached
 
     def _co_component_masks(self) -> list[int]:
-        """Components of the complement graph, as position masks."""
-        cached = self._memo.get("cocomps")
-        if cached is None:
-            cached = []
-            adj = self._adj
-            live = self._vmask
-            todo = live
-            while todo:
-                start = todo & -todo
-                comp = start
-                frontier = start
-                while frontier:
-                    grown = 0
-                    for p in bits(frontier):
-                        grown |= live & ~adj[p] & ~(1 << p)
-                    frontier = grown & todo & ~comp
-                    comp |= frontier
-                cached.append(comp)
-                todo &= ~comp
-            self._memo["cocomps"] = cached
-        return cached
+        """Components of the complement graph, as position masks.
+
+        The frontier grows by every vertex that misses some frontier member,
+        the complement of the AND of the frontier's rows.
+        """
+        out = []
+        adj = self._adj
+        todo = self._vmask
+        while todo:
+            comp = frontier = todo & -todo
+            while frontier:
+                sees_all = -1
+                for p in bits(frontier):
+                    sees_all &= adj[p]
+                frontier = todo & ~sees_all & ~comp
+                comp |= frontier
+            out.append(comp)
+            todo &= ~comp
+        return out
 
     # -- value semantics -------------------------------------------------------
 

@@ -12,7 +12,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .decomposition import is_module, top_partition
+from .decomposition import _root_child_masks, is_module
 from .errors import InputError, OracleCapError
 from .graph import Graph, bits
 from .rules import Rule, TAR, TJ, TS
@@ -190,9 +190,8 @@ def _random_prime_quotient(rng: random.Random, order: int) -> Graph:
                 if rng.random() < 0.5:
                     edges.append((i, j))
         q = Graph(range(order), edges)
-        if len(q._component_masks()) > 1 or len(q._co_component_masks()) > 1:
-            continue
-        if all(len(p) == 1 for p in top_partition(q)):
+        kind, parts = _root_child_masks(q)
+        if kind == "prime" and len(parts) == order:
             return q
 
 

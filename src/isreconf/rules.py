@@ -89,12 +89,19 @@ class Move:
         except (TypeError, KeyError):
             raise InputError(f"malformed move object: {obj!r}") from None
         if op in ("add", "remove"):
-            return Move(op, v)
+            return Move(op, _vertex_id(obj, v))
         if op in ("jump", "slide"):
             if "u" not in obj:
                 raise InputError(f"{op} move needs a source vertex u: {obj!r}")
-            return Move(op, v, obj["u"])
+            return Move(op, _vertex_id(obj, v), _vertex_id(obj, obj["u"]))
         raise InputError(f"unknown move op {op!r}")
+
+
+def _vertex_id(obj: dict, v) -> int:
+    """A move's vertex field, which JSON must give as an integer."""
+    if type(v) is not int:
+        raise InputError(f"move vertices must be integers: {obj!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -117,19 +124,12 @@ def step_valid(rule: Rule, g: Graph, current: frozenset[int], move: Move) -> fro
     return g._idset(_apply(rule, g, cur, move))
 
 
-def _position(g: Graph, v) -> int:
-    p = g._pos.get(v)
-    if p is None or not (g._vmask >> p) & 1:
-        raise InputError(f"unknown vertex id {v!r}")
-    return p
-
-
 def _apply(rule: Rule, g: Graph, cur: int, move: Move) -> int:
     """One move on the position mask of an independent set; the successor mask."""
     if move.op in ("add", "remove"):
         if rule.kind != TAR:
             raise RuleViolation(f"{move.op} moves are only legal under TAR")
-        p = _position(g, move.v)
+        p = g._position(move.v)
         bit = 1 << p
         if move.op == "add":
             if cur & bit:
@@ -150,8 +150,8 @@ def _apply(rule: Rule, g: Graph, cur: int, move: Move) -> int:
     if move.op == "slide" and rule.kind != TS:
         raise RuleViolation("slide moves are only legal under TS")
     u, v = move.u, move.v
-    pu = _position(g, u)
-    pv = _position(g, v)
+    pu = g._position(u)
+    pv = g._position(v)
     if not cur & (1 << pu):
         raise RuleViolation(f"vertex {u} holds no token to move")
     if cur & (1 << pv):

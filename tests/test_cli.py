@@ -101,6 +101,29 @@ def test_verify_rejects_bad_sequence(tmp_path, capsys):
     assert verdict["answer"] == "invalid" and verdict["index"] == 1
 
 
+def test_verify_rejects_a_non_integer_move_vertex(tmp_path, capsys):
+    gpath = write_instance(tmp_path, path_graph([1, 2, 3]),
+                           {"rule": "tar", "k": 1, "start": [1], "target": [3]})
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps([{"op": "add", "v": [3]}]))
+    code, _, err = run(capsys, "verify", gpath, "--sequence", str(seq_path), "--json")
+    assert code == 2
+    assert json.loads(err)["answer"] == "error"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", "abc"), ("k", [1]), ("k", 1.9), ("k", True),
+    ("start", "13"), ("start", [1.0]), ("target", [True]), ("target", {"3": 1}),
+])
+def test_sidecar_values_must_be_json_integers(tmp_path, capsys, field, value):
+    sidecar = {"rule": "tar", "k": 1, "start": [1], "target": [3]}
+    sidecar[field] = value
+    gpath = write_instance(tmp_path, path_graph([1, 2, 3]), sidecar)
+    code, out, err = run(capsys, "solve", gpath, "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["answer"] == "error"
+
+
 def test_solve_tj_size_mismatch_is_a_no(tmp_path, capsys):
     gpath = write_instance(tmp_path, path_graph([1, 2, 3]),
                            {"rule": "tj", "start": [1, 3], "target": [2]})
@@ -226,6 +249,36 @@ def test_bench_worker_pool(capsys):
                        "--profile", "n=9,width=3,rule=ts", "--workers", "2")
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+def test_bench_pool_is_capped_at_the_seed_count(capsys, monkeypatch):
+    # a recorder in place of the pool: no worker process is ever started
+    import isreconf.cli as cli_mod
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InProcessPool)
+    argv = ["bench", "--seeds", "0:2", "--profile", "n=9,width=3,rule=ts", "--workers"]
+    code, out, _ = run(capsys, *argv, "5000")
+    assert code == 0 and len(out.strip().splitlines()) == 3
+    assert started == [2]
+    for bad in ("0", "-3"):
+        code, out, err = run(capsys, *argv, bad)
+        assert (code, out) == (2, "")
+        assert "--workers" in json.loads(err)["error"]
+    assert started == [2]
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

@@ -2,9 +2,11 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isreconf import (Graph, InputError, brute_modular_width, is_module, md_tree,
                       modular_width, nd_partition, top_partition)
+from isreconf.decomposition import _min_module
 
 from helpers import (complete_graph, cycle_graph, edgeless_graph, graphs,
                      path_graph, random_graph)
@@ -121,6 +123,42 @@ def test_md_tree_structure_is_valid(g):
             walk(c)
 
     walk(tree)
+
+
+@st.composite
+def root_or_view(draw):
+    """A graph on at most 8 vertices, or a view of one a delete_vertices deep,
+    with the view's edges taken from the root."""
+    g = draw(graphs(min_n=1, max_n=8))
+    h = g
+    if draw(st.booleans()):
+        h = g.delete_vertices(draw(st.sets(st.sampled_from(g.ids), max_size=g.n - 1)))
+    return h, [(u, v) for u, v in g.edges() if h.has_vertex(u) and h.has_vertex(v)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_or_view())
+def test_module_kernel_matches_definitions(case):
+    # is_module, md_tree and the prime split all rest on _min_module; this
+    # checks it, and the co-components, against definitions by brute force
+    h, edges = case
+    vs = h.ids
+    nbrs = {v: set() for v in vs}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    subsets = [frozenset(v for i, v in enumerate(vs) if state >> i & 1)
+               for state in range(1, 1 << len(vs))]
+    modules = [s for s in subsets if len({frozenset(nbrs[v] - s) for v in s}) == 1]
+    modules.sort(key=len)
+    module_set = set(modules)
+    for s in subsets:
+        assert is_module(h, s) == (s in module_set)
+        smallest = next(m for m in modules if s <= m)
+        assert h._idset(_min_module(h, h._mask(s))) == smallest
+    complement = Graph(vs, [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
+                            if v not in nbrs[u]])
+    assert [h._idset(m) for m in h._co_component_masks()] == complement.components()
 
 
 @settings(max_examples=80, deadline=None)

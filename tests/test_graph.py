@@ -77,6 +77,13 @@ def test_unknown_vertex_errors():
     with pytest.raises(InputError):
         g.neighbors(0)
     with pytest.raises(InputError):
+        g.is_independent([[1]])
+    view = g.delete_vertices({2})
+    for query in (view.neighbors, view.degree, lambda v: view.has_edge(1, v),
+                  lambda v: view.has_edge(v, 1)):
+        with pytest.raises(InputError):
+            query(2)
+    with pytest.raises(InputError):
         Graph([1, 2], [(1, 1)])
     with pytest.raises(InputError):
         Graph([1, 2], [(1, 3)])

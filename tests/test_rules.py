@@ -97,6 +97,10 @@ def test_move_json_round_trip():
         Move.from_json({"op": "jump", "v": 2})
     with pytest.raises(InputError):
         Move.from_json({"op": "warp", "v": 2})
+    for bad in ({"op": "add", "v": [3]}, {"op": "remove", "v": "3"}, {"op": "add", "v": True},
+                {"op": "jump", "u": 1.0, "v": 2}, {"op": "slide", "u": 1, "v": None}):
+        with pytest.raises(InputError):
+            Move.from_json(bad)
 
 
 def _random_walk(rng, g, start, rule, length):
