@@ -103,7 +103,7 @@ def _sequence_json(seq: ReconfSequence) -> list[dict]:
 
 def _run_stats(g: Graph, started: float, skip_width: bool = False) -> dict:
     return {
-        "width": None if skip_width else modular_width(g),
+        "width": None if skip_width or g.n == 0 else modular_width(g),
         "nodes_deleted": stats.get("nodes_deleted"),
         "rule_applications": stats.get("rule_applications"),
         "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),

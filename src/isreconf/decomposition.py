@@ -3,7 +3,10 @@
 The decomposition here is the straightforward polynomial one: components
 and co-components handle degenerate levels, and for a connected,
 co-connected graph the maximal proper modules are recovered by partition
-refinement plus splitter closure.  Deliberately not the linear-time
+refinement plus splitter closure.  The refinement leaves a modular
+partition, so the closures run on its quotient, one vertex per part: a
+union of parts is a module of the graph iff it is one of the quotient
+(Habib and Paul, Comput. Sci. Rev. 2010).  Deliberately not the linear-time
 algorithm; desk-scale inputs tolerate a near-cubic bound and the simple
 version is easy to validate against brute force.
 """
@@ -107,7 +110,9 @@ def _prime_child_masks(g: Graph) -> list[int]:
 
     Refining {v, N(v), rest} by every vertex as pivot yields exactly the
     maximal modules avoiding v; the one containing v is the union of the
-    fragments whose closure with v stays proper.
+    fragments whose closure with v stays proper.  {v} and the fragments
+    form a modular partition, so each closure is taken on its quotient,
+    one vertex per part, rather than on g.
     """
     live = g._vmask
     adj = g._adj
@@ -146,12 +151,12 @@ def _prime_child_masks(g: Graph) -> list[int]:
                 nxt.append(part)
         parts = nxt
 
+    # parts[0] is {v}, which no pivot splits: vertex 0 of the quotient
+    quotient = Graph._from_adj(list(range(len(parts))), quotient_adjacency(g, parts))
     home = vbit
     others = []
-    for part in parts:
-        if part == vbit:
-            continue
-        if _min_module(g, vbit | part) != live:
+    for i, part in enumerate(parts[1:], 1):
+        if _min_module(quotient, 1 | 1 << i) != quotient._vmask:
             home |= part
         else:
             others.append(part)

@@ -175,6 +175,19 @@ def test_alpha_and_decompose(tmp_path, capsys):
     assert payload["tree"]["kind"] == "series"
 
 
+def test_empty_graph_has_no_width(tmp_path, capsys):
+    gpath = write_instance(tmp_path, Graph([]),
+                           {"rule": "tar", "k": 0, "start": [], "target": []})
+    for argv, key, value in ((["alpha"], "size", 0), (["solve", "--certify"], "answer", "yes"),
+                             (["lambda", "--certify"], "size", 0)):
+        code, out, _ = run(capsys, argv[0], gpath, *argv[1:], "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload[key] == value and payload["stats"]["width"] is None
+    code, _, err = run(capsys, "decompose", gpath, "--json")
+    assert code == 2 and "nonempty" in json.loads(err)["error"]
+
+
 def test_oracle_command_and_cap(tmp_path, capsys, monkeypatch):
     gpath = write_instance(tmp_path, cycle_graph([1, 2, 3, 4]),
                            {"rule": "tar", "k": 0, "start": [1, 3], "target": [2, 4]})

@@ -193,3 +193,52 @@ def test_quotient_edge_semantics_in_prime_tree():
     parts = top_partition(g)
     assert frozenset({2, 3}) in parts
     assert modular_width(g) == 4
+
+
+PRIME_QUOTIENTS = {
+    "p4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "bull": (5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)]),
+    "c5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+}
+# small module graphs as (order, edges); vertex 1 may sit at any position of
+# the home module, so the refinement leaves the home in one to three fragments
+HOME_MODULES = [
+    (2, []), (2, [(0, 1)]), (3, []), (3, [(0, 1)]), (3, [(0, 1), (1, 2)]),
+    (4, [(0, 1), (1, 2), (2, 3)]),
+]
+OTHER_MODULES = [(1, []), (2, []), (2, [(0, 1)])]
+
+
+@st.composite
+def substituted_prime(draw):
+    """A prime quotient with small modules substituted for its vertices, at
+    most 12 vertices in all, and vertex 1 inside a module of 2+ vertices.
+    Returns the graph and its substituted modules."""
+    order, qedges = PRIME_QUOTIENTS[draw(st.sampled_from(sorted(PRIME_QUOTIENTS)))]
+    home = draw(st.integers(0, order - 1))
+    shapes = [draw(st.sampled_from(HOME_MODULES if i == home else OTHER_MODULES))
+              for i in range(order)]
+    ids = draw(st.permutations(range(2, sum(size for size, _ in shapes) + 1)))
+    first = sum(size for size, _ in shapes[:home]) + draw(st.integers(0, shapes[home][0] - 1))
+    ids = [*ids[:first], 1, *ids[first:]]
+    modules, edges, at = [], [], 0
+    for size, inner in shapes:
+        members = ids[at:at + size]
+        at += size
+        edges += [(members[a], members[b]) for a, b in inner]
+        modules.append(members)
+    edges += [(u, v) for a, b in qedges for u in modules[a] for v in modules[b]]
+    return Graph(ids, edges), {frozenset(m) for m in modules}
+
+
+@settings(max_examples=80, deadline=None)
+@given(substituted_prime())
+def test_top_partition_finds_substituted_modules(case):
+    # the home module of vertex 1 is closed on the refinement's quotient;
+    # the random graphs above seldom give it two or more fragments
+    g, modules = case
+    vs = g.ids
+    proper = [s for state in range(1, (1 << len(vs)) - 1)
+              if is_module(g, s := frozenset(v for i, v in enumerate(vs) if state >> i & 1))]
+    maximal = {s for s in proper if not any(s < t for t in proper)}
+    assert set(top_partition(g)) == maximal == modules

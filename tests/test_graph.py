@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isreconf import Graph, InputError
+from isreconf.graph import bits
 
 from helpers import complete_graph, edgeless_graph, graphs, path_graph
 
@@ -119,3 +120,34 @@ def test_neighborhood_disjoint_from_set(g, seed):
     rng = random.Random(seed)
     s = {v for v in g.ids if rng.random() < 0.4}
     assert not g.neighborhood(s) & s
+
+
+@st.composite
+def near_density_threshold(draw):
+    """A mask of 48 to 4000 bits with about one set bit per 48 positions:
+    exactly enough for the dense path of ``bits``, or one fewer."""
+    length = draw(st.integers(48, 4000))
+    count = max(1, -(-length // 48) - draw(st.integers(0, 1)))
+    others = draw(st.sets(st.integers(0, length - 2), min_size=count - 1, max_size=count - 1))
+    return sum(1 << p for p in others) | 1 << (length - 1)
+
+
+masks = st.one_of(
+    st.just(0),
+    st.integers(0, 4000).map(lambda p: 1 << p),
+    st.integers(0, 2 ** 600),                                     # dense
+    st.lists(st.integers(0, 2000), max_size=12).map(lambda ps: sum(1 << p for p in set(ps))),
+    near_density_threshold(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks)
+def test_bits_lists_set_positions_in_order(mask):
+    assert list(bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("mask", [(1 << 4000) - (1 << 17),              # dense
+                                  1 << 3999 | 1 << 1234 | 1 << 17])   # sparse
+def test_bits_yields_the_lowest_bit_first(mask):
+    assert next(bits(mask)) == 17
