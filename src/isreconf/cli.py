@@ -102,11 +102,12 @@ def _sequence_json(seq: ReconfSequence) -> list[dict]:
 
 
 def _run_stats(g: Graph, started: float, skip_width: bool = False) -> dict:
+    elapsed_ms = round((time.perf_counter() - started) * 1000, 3)  # before the width walk
     return {
         "width": None if skip_width or g.n == 0 else modular_width(g),
         "nodes_deleted": stats.get("nodes_deleted"),
         "rule_applications": stats.get("rule_applications"),
-        "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
+        "elapsed_ms": elapsed_ms,
     }
 
 

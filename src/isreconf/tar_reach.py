@@ -49,11 +49,30 @@ class ReachAnswer:
         return f"ReachAnswer({'yes' if self.reachable else 'no'}{tail})"
 
 
-def _empty_module_rope(g: Graph, seed: int, module: int,
-                       k: int) -> tuple[int, MoveRope] | None:
+def _solver(solvers: dict[tuple[int, int], _Solver], g: Graph, seed: int) -> _Solver:
+    """The one solver of a reach call for ``g``'s vertex set and ``seed``.
+
+    Every graph in one call is a view of one root, and a table depends
+    only on the vertex set and the seed, so the vertex mask is the key.
+    """
+    key = g._vmask, seed
+    solver = solvers.get(key)
+    if solver is None:
+        solver = solvers[key] = _Solver(g, seed)
+    return solver
+
+
+def _empty_module_rope(g: Graph, seed: int, module: int, k: int,
+                       solvers: dict[tuple[int, int], _Solver]) -> tuple[int, MoveRope] | None:
+    """Vacate a module: the largest set reachable without its fence, minus the module.
+
+    The table is taken from ``solvers``, the reach call's solvers, so the
+    disconnected normalisation that follows a fence deletion reads it
+    instead of filling it again.
+    """
     if not seed & module:
         return seed, EMPTY
-    reached, rope = _Solver(g._derive(g._vmask & ~_fence(g, module)), seed)(max(k, 0))
+    reached, rope = _solver(solvers, g._derive(g._vmask & ~_fence(g, module)), seed)(max(k, 0))
     if (reached & ~module).bit_count() < k:
         return None
     return reached & ~module, MoveRope.cat(rope, removes(g._ids(reached & module)))
@@ -73,7 +92,7 @@ def empty_module(g: Graph, seed, module, k: int) -> tuple[frozenset[int], Reconf
     smask = _seed_mask(g, seed)
     if len(seed) < k:
         raise InputError("seed is below the floor")
-    out = _empty_module_rope(g, smask, pm, k)
+    out = _empty_module_rope(g, smask, pm, k, {})
     if out is None:
         return None
     final, rope = out
@@ -135,9 +154,13 @@ def _reach_tar(g: Graph, k: int, s: int, t: int, classes: bool = False) -> MoveR
     A step fails, or appends its prefix rope and pushes ``rev(rt)`` under
     the subproblems that suffix wraps.  Components are pushed in reverse
     and check their token counts when popped, so checks and ``_drop``s
-    run in the order of a depth-first recursion.
+    run in the order of a depth-first recursion.  The solvers the steps
+    ask for live in one dict for the call, keyed by vertex mask and seed:
+    the fence deletion leaves the vertex set that the vacating attempt
+    solved on, and the normalisation of its components reads that table.
     """
     rope = EMPTY
+    solvers: dict[tuple[int, int], _Solver] = {}
     todo: list = [(g, k, s, t, classes, False)]
     while todo:
         item = todo.pop()
@@ -165,8 +188,8 @@ def _reach_tar(g: Graph, k: int, s: int, t: int, classes: bool = False) -> MoveR
             comp_masks = g._component_masks()
             if len(comp_masks) > 1:
                 # normalized to largest reachable sets, components keep their token counts
-                s2, rs = _Solver(g, s)(k)
-                t2, rt = _Solver(g, t)(k)
+                s2, rs = _solver(solvers, g, s)(k)
+                t2, rt = _solver(solvers, g, t)(k)
                 size = s2.bit_count()
                 if size != t2.bit_count():
                     return None
@@ -181,8 +204,8 @@ def _reach_tar(g: Graph, k: int, s: int, t: int, classes: bool = False) -> MoveR
                 todo.append((g, k, s, t, True, False))
                 continue
 
-        es = _empty_module_rope(g, s, pm, k)
-        et = _empty_module_rope(g, t, pm, k)
+        es = _empty_module_rope(g, s, pm, k, solvers)
+        et = _empty_module_rope(g, t, pm, k, solvers)
         if (es is None) != (et is None):
             return None
         if es is not None:

@@ -44,14 +44,35 @@ def random_graph(rng: random.Random, n: int, p: float, first=1) -> Graph:
     return Graph(ids, edges)
 
 
-def threshold_graph(seed: int, n: int) -> Graph:
-    """Each new vertex is isolated or dominating; the decomposition is about n/2 deep."""
-    rng = random.Random(seed)
+def _threshold_graph(rng: random.Random, n: int) -> Graph:
     edges = []
     for v in range(1, n):
         if rng.random() < 0.5:
             edges += [(u, v) for u in range(v)]
     return Graph(range(n), edges)
+
+
+def threshold_graph(seed: int, n: int) -> Graph:
+    """Each new vertex is isolated or dominating; the decomposition is about n/2 deep."""
+    return _threshold_graph(random.Random(seed), n)
+
+
+def threshold_sides(seed: int, n: int) -> tuple[Graph, frozenset[int], frozenset[int]]:
+    """``threshold_graph`` plus two random maximal independent sets, drawn as
+    ``perfbench.workloads.threshold_instance`` draws them (on IDs 0..n-1)."""
+    rng = random.Random(seed)
+    g = _threshold_graph(rng, n)
+
+    def maximal_independent() -> frozenset[int]:
+        order = list(range(n))
+        rng.shuffle(order)
+        chosen: set[int] = set()
+        for v in order:
+            if not any(g.has_edge(v, u) for u in chosen):
+                chosen.add(v)
+        return frozenset(chosen)
+
+    return g, maximal_independent(), maximal_independent()
 
 
 def random_independent_set(rng: random.Random, g: Graph, keep=0.7) -> frozenset[int]:

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from isreconf import Graph, InputError
+from isreconf import Graph, InputError, cli
 from isreconf.cli import main
 from isreconf.dimacs import emit_graph, parse_graph
 
@@ -72,6 +73,21 @@ def test_solve_tar_frozen_c4(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["answer"] == "no"
     assert set(payload["stats"]) == {"width", "nodes_deleted", "rule_applications", "elapsed_ms"}
+
+
+def test_elapsed_ms_excludes_the_width_walk(tmp_path, capsys, monkeypatch):
+    gpath = write_instance(tmp_path, path_graph([1, 2, 3]),
+                           {"rule": "tar", "k": 1, "start": [1], "target": [3]})
+
+    def slow_width(g):
+        time.sleep(0.3)
+        return 3
+
+    monkeypatch.setattr(cli, "modular_width", slow_width)
+    code, out, _ = run(capsys, "solve", gpath, "--certify", "--json")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["width"] == 3 and stats["elapsed_ms"] < 300
 
 
 def test_solve_certify_round_trip(tmp_path, capsys):

@@ -4,10 +4,11 @@ import pytest
 
 from isreconf import (Graph, InputError, Rule, empty_module, oracle_lambda,
                       oracle_reach, reach_nd, reach_tar, reach_tj,
-                      reduce_empty_module, tj_threshold, verify_sequence)
+                      reduce_empty_module, tar_engine, tj_threshold, verify_sequence)
 
 from helpers import (complete_graph, cycle_graph, join_all, path_graph,
-                     random_graph, random_independent_set)
+                     random_graph, random_independent_set, threshold_sides)
+from test_solver_core import threshold_instance
 
 
 def check_yes(g, answer, start, target, k):
@@ -242,3 +243,49 @@ def test_component_token_counts_frozen_after_normalization():
                     if nxt not in seen:
                         seen.add(nxt)
                         queue.append(nxt)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Top-level solver calls: the ``(vertex mask, seed, threshold)`` each had
+    to fill, and how many found their threshold already cached."""
+    log = {"filled": [], "cached": 0}
+    original = tar_engine._Solver.__call__
+
+    def call(self, j):
+        if j in self.cache:
+            log["cached"] += 1
+        else:
+            log["filled"].append((self.g._vmask, self.seed, j))
+        return original(self, j)
+
+    monkeypatch.setattr(tar_engine._Solver, "__call__", call)
+    return log
+
+
+def test_reach_tar_solves_each_table_entry_once(solves):
+    # the fence step vacates a module on the graph without its fence, and
+    # the normalisation after the fence deletion asks for that same table
+    g, s, t = threshold_instance(0, 300)
+    for k in (1, 2, len(s) // 4, len(s) // 2, len(s) - 1, len(s)):
+        solves["filled"].clear()
+        reach_tar(g, k, s, t)
+        assert solves["filled"]
+        assert len(set(solves["filled"])) == len(solves["filled"]), k
+
+
+def test_fence_and_normalisation_match_oracle_on_threshold_graphs(solves):
+    # threshold graphs reach the fence deletion and the disconnected
+    # normalisation at every level; every floor up to min(|S|, |T|)
+    cases = nos = 0
+    for seed in range(150):
+        g, s, t = threshold_sides(seed, 12)
+        for k in range(1, min(len(s), len(t)) + 1):
+            ans = reach_tar(g, k, s, t)
+            assert ans.reachable == oracle_reach(Rule.tar(k), g, s, t)
+            if ans.reachable:
+                check_yes(g, ans, s, t, k)
+            cases += 1
+            nos += not ans.reachable
+    assert (cases, nos) == (653, 120)
+    assert solves["cached"] >= 200
