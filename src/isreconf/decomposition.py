@@ -14,6 +14,7 @@ version is easy to validate against brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import stats
 from .errors import InputError, InternalError
@@ -275,13 +276,19 @@ def nd_partition(g: Graph) -> list[TwinClass]:
             for m in _twin_masks(g)]
 
 
-def _twin_masks(g: Graph) -> list[int]:
+def _twin_masks(g: Graph, blocks: Iterable[int] | None = None) -> list[int]:
     """Twin classes of g as position masks, ordered by lowest member; memoised.
 
     A vertex with a false twin has no true twin (a true twin of u would be
     a neighbour of u's false twin v, so v would be adjacent to u), so the
     classes are the groups of equal open neighbourhoods and of equal
     closed neighbourhoods with two or more members, plus singletons.
+
+    ``blocks`` partitions g's vertices into edgeless modules and single
+    vertices (default: one block per vertex).  A block's members are false
+    twins, so one representative row groups the whole block, and only a
+    single-vertex block can join a group of equal closed neighbourhoods.
+    A caller that knows such blocks pays per block, not per vertex.
     """
     cached = g._memo.get("nd")
     if cached is None:
@@ -289,10 +296,11 @@ def _twin_masks(g: Graph) -> list[int]:
         live = g._vmask
         open_groups: dict[int, int] = {}
         closed_groups: dict[int, int] = {}
-        for p in bits(live):
-            row = adj[p] & live
-            open_groups[row] = open_groups.get(row, 0) | 1 << p
-            closed_groups[row | 1 << p] = closed_groups.get(row | 1 << p, 0) | 1 << p
+        for b in map((1).__lshift__, bits(live)) if blocks is None else blocks:
+            row = adj[b.bit_length() - 1] & live
+            open_groups[row] = open_groups.get(row, 0) | b
+            if b.bit_count() == 1:
+                closed_groups[row | b] = closed_groups.get(row | b, 0) | b
         cached = [m for groups in (open_groups, closed_groups)
                   for m in groups.values() if m & (m - 1)]
         cached += [1 << p for p in bits(g._vmask & ~sum(cached))]

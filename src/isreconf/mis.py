@@ -64,16 +64,32 @@ def _alpha_prime(g: Graph, child_masks: list[int], parts: list[tuple[int, int]])
 
 
 def _heaviest(cand: int, qadj: list[int], sizes: list[int], memo: dict) -> tuple[int, int, int]:
-    """Largest (weight, -count, -mask) over the independent subsets of cand."""
-    hit = memo.get(cand)
-    if hit is not None:
-        return hit
-    i = cand.bit_length() - 1
-    bit = 1 << i
-    rest = cand ^ bit
-    w, negc, negm = _heaviest(rest & ~qadj[i], qadj, sizes, memo)
-    res = (w + sizes[i], negc - 1, negm - bit)
-    if qadj[i] & rest:  # else taking child i outweighs every set without it
-        res = max(res, _heaviest(rest, qadj, sizes, memo))
-    memo[cand] = res
-    return res
+    """Largest (weight, -count, -mask) over the independent subsets of cand.
+
+    Branches on the highest child: take it (and drop its neighbours) or,
+    when it has a neighbour left, leave it.  The branches are solved on an
+    explicit stack, so a long chain of decisions needs no recursion.
+    """
+    if cand in memo:
+        return memo[cand]
+    stack = [cand]      # each entry a proper subset of the one below, so none repeats
+    while stack:
+        c = stack[-1]
+        i = c.bit_length() - 1
+        bit = 1 << i
+        rest = c ^ bit
+        take = rest & ~qadj[i]
+        took = memo.get(take)
+        if took is None:
+            stack.append(take)
+            continue
+        res = (took[0] + sizes[i], took[1] - 1, took[2] - bit)
+        if qadj[i] & rest:  # else taking child i outweighs every set without it
+            left = memo.get(rest)
+            if left is None:
+                stack.append(rest)
+                continue
+            res = max(res, left)
+        memo[c] = res
+        stack.pop()
+    return memo[cand]

@@ -100,14 +100,16 @@ def _class_search(g: Graph, floor: int, start: int,
     """
     if not g._vmask:
         return 0, EMPTY
+    classes = _twin_masks(g)
     drop = 0
-    for cm in _twin_masks(g):
+    for cm in classes:
         if _clique_class(g, cm):
             keep = cm & start or cm
             drop |= cm & ~(keep & -keep)
     if drop:
+        # twins stay twins without the dropped vertices, so regroup the classes
         g = g._derive(g._vmask & ~drop)
-    classes = _twin_masks(g)
+        classes = _twin_masks(g, [c & ~drop for c in classes])
     sizes = [c.bit_count() for c in classes]
     qadj = quotient_adjacency(g, classes)
 
@@ -189,7 +191,7 @@ class EngineState:
     """Mutable working state of the rule loop (one instance per run)."""
 
     __slots__ = ("g", "k", "seed", "h", "r", "part_masks", "live", "pool",
-                 "thr", "thr0", "rope", "mod_ropes")
+                 "slices", "thr", "thr0", "rope", "mod_ropes")
 
     def __init__(self, g: Graph, k: int, seed: int, part_masks: list[int]):
         self.g = g
@@ -200,6 +202,7 @@ class EngineState:
         self.part_masks = part_masks
         self.live = [False] * len(part_masks)
         self.pool = 0
+        self.slices: list[int] = []    # what h keeps of each dead part; pool is their union
         self.thr = [0] * len(part_masks)
         self.thr0 = 0
         self.rope = EMPTY
@@ -219,9 +222,20 @@ class EngineState:
         if _replay(g, ReconfSequence(Rule.tar(max(self.k, 0)), g._idset(self.seed),
                                      self.rope.flatten())) != r:
             raise InternalError("accumulated sequence does not end at R")
-        empties = sum(1 for x in self.live if not x)
-        if self.pool and len(_twin_masks(h._derive(self.pool))) > empties:
-            raise InternalError("pool twin-class count exceeds the empty-part budget")
+        if sum(self.slices) != self.pool or len(self.slices) != self.live.count(False):
+            raise InternalError("the pool is not the union of one slice per dead part")
+        for sl in self.slices:
+            if not h._independent(sl) or not _is_module_mask(h, sl):
+                raise InternalError("a pool slice is not an edgeless module of H")
+        if self.pool:
+            # fresh views, so neither partition reads one that Rule 2a memoised
+            def bare() -> Graph:
+                return Graph._from_adj(list(g._uid), g._adj)._derive(self.pool)
+            classes = _twin_masks(bare())
+            if _twin_masks(bare(), self.slices) != classes:
+                raise InternalError("slice-built pool partition differs from the vertex one")
+            if len(classes) > self.live.count(False):
+                raise InternalError("pool twin-class count exceeds the empty-part budget")
         slots = [(self.pool, self.thr0)] if self.pool else []
         slots += [(pm, self.thr[i]) for i, pm in enumerate(self.part_masks) if self.live[i]]
         for pm, t in slots:
@@ -292,6 +306,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
         if st.r & pm == 0:
             st.h = _drop(st.h, pm & ~alphas[i][1])
             st.pool |= alphas[i][1]
+            st.slices.append(alphas[i][1])
         else:
             st.live[i] = True
             st.thr[i] = (st.r & pm).bit_count()
@@ -311,6 +326,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
             if st.live[i] and (st.r & pm).bit_count() == alphas[i][0]:
                 st.h = _drop(st.h, pm & ~st.r)
                 st.pool |= pm & st.r
+                st.slices.append(pm & st.r)
                 # tokens just entered the pool, so its floor window moved
                 st.thr0 = max(st.thr0, k - (st.r & ~st.pool).bit_count())
                 st.live[i] = False
@@ -325,19 +341,22 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
             continue
 
         # Rule 2a: improve inside the pool, restricted to vertices with no
-        # neighbor in any live part.
+        # neighbor in any live part.  Each slice is an edgeless module of h,
+        # so one member's row decides the whole slice, and the free slices
+        # are the blocks of the f0 view's twin partition, memoised here for
+        # the class search.
         live_union = 0
         for i, pm in enumerate(part_masks):
             if st.live[i]:
                 live_union |= pm
-        f0 = 0
-        for p in bits(st.pool):
-            if not st.h._adj[p] & live_union:
-                f0 |= 1 << p
-        if f0:
+        free = [s for s in st.slices if not st.h._adj[s.bit_length() - 1] & live_union]
+        if free:
+            f0 = sum(free)
             rf0 = st.r & f0
             floor0 = k - (st.r & ~f0).bit_count()
-            reached, rope = _class_search(st.h._derive(f0), max(floor0, 0), rf0)
+            view = st.h._derive(f0)
+            _twin_masks(view, free)
+            reached, rope = _class_search(view, max(floor0, 0), rf0)
             if reached.bit_count() > rf0.bit_count():
                 st.thr0 = max(floor0, 0)
                 st.rope = MoveRope.cat(st.rope, rope)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from isreconf import (Graph, InputError, brute_modular_width, is_module, md_tree,
                       modular_width, nd_partition, top_partition)
-from isreconf.decomposition import _min_module
+from isreconf.decomposition import _clique_class, _min_module, _twin_masks
+from isreconf.graph import bits
 
 from helpers import (complete_graph, cycle_graph, edgeless_graph, graphs,
                      path_graph, random_graph)
@@ -174,6 +175,52 @@ def test_nd_classes_are_homogeneous_modules(g):
         size = len(cl.members)
         assert sub.m == (size * (size - 1) // 2 if cl.kind == "clique" else 0)
     assert seen == g.vertices
+
+
+@st.composite
+def blown_up_view(draw):
+    """A view of a larger root: a random base graph with each vertex blown up
+    into an edgeless or a clique set, so that twin classes are large, plus
+    ghost vertices the view leaves out, joined to everything at random."""
+    base = draw(graphs(min_n=1, max_n=6))
+    sizes = [draw(st.integers(1, 3)) for _ in base.ids]
+    cliques = [draw(st.booleans()) for _ in base.ids]
+    ghosts = draw(st.integers(0, 2))
+    groups, start = [], 0
+    for size in sizes:
+        groups.append(range(start, start + size))
+        start += size
+    n = start + ghosts
+    edges = [(u, v) for (a, b) in base.edges()
+             for u in groups[a - 1] for v in groups[b - 1]]
+    edges += [(u, v) for grp, clique in zip(groups, cliques) if clique
+              for u in grp for v in grp if u < v]
+    edges += [(u, v) for v in range(start, n) for u in range(v) if draw(st.booleans())]
+    return Graph(range(n), edges)._derive((1 << start) - 1)
+
+
+def _bare(g):
+    """A view of g's vertex set whose memo no earlier call has filled."""
+    return Graph._from_adj(list(g._uid), g._adj)._derive(g._vmask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blown_up_view(), st.randoms(use_true_random=False))
+def test_twin_masks_from_any_split_into_edgeless_blocks(g, rng):
+    classes = _twin_masks(_bare(g))
+    blocks = []
+    for c in classes:
+        members = list(bits(c))
+        if _clique_class(g, c):
+            blocks += [1 << p for p in members]
+            continue
+        rng.shuffle(members)
+        while members:
+            cut = rng.randint(1, len(members))
+            blocks.append(sum(1 << p for p in members[:cut]))
+            members = members[cut:]
+    rng.shuffle(blocks)
+    assert _twin_masks(_bare(g), blocks) == classes
 
 
 def test_nd_at_least_mw_on_random_graphs():

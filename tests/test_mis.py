@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -132,3 +135,48 @@ def test_alpha_solves_each_prime_node_once(monkeypatch):
     for sub in subs:
         alpha(sub)
     assert len(calls) == primes
+
+
+def _recursive_heaviest(cand, qadj, sizes, memo):
+    """The earlier recursive ``_heaviest``: one call level per branching decision."""
+    hit = memo.get(cand)
+    if hit is not None:
+        return hit
+    i = cand.bit_length() - 1
+    bit = 1 << i
+    rest = cand ^ bit
+    w, negc, negm = _recursive_heaviest(rest & ~qadj[i], qadj, sizes, memo)
+    res = (w + sizes[i], negc - 1, negm - bit)
+    if qadj[i] & rest:
+        res = max(res, _recursive_heaviest(rest, qadj, sizes, memo))
+    memo[cand] = res
+    return res
+
+
+def test_heaviest_matches_the_recursive_version_on_small_quotients():
+    rng = random.Random(41)
+    for _ in range(300):
+        r = rng.randint(1, 14)
+        qadj = [0] * r
+        for i in range(r):
+            for j in range(i + 1, r):
+                if rng.random() < rng.choice([0.1, 0.3, 0.6]):
+                    qadj[i] |= 1 << j
+                    qadj[j] |= 1 << i
+        sizes = [rng.randint(1, 4) for _ in range(r)]
+        cand = rng.randint(1, (1 << r) - 1)
+        memo, ref_memo = {0: (0, 0, 0)}, {0: (0, 0, 0)}
+        assert mis._heaviest(cand, qadj, sizes, memo) == \
+            _recursive_heaviest(cand, qadj, sizes, ref_memo)
+        assert memo == ref_memo
+
+
+def test_heaviest_on_a_long_path_quotient_needs_no_recursion():
+    # the recursive version went one level deeper per decision and raised
+    # RecursionError from order about 2100 under the default limit
+    n = 2500
+    assert sys.getrecursionlimit() < n
+    qadj = [(1 << i - 1 if i else 0) | (1 << i + 1 if i + 1 < n else 0) for i in range(n)]
+    weight, negc, negm = mis._heaviest((1 << n) - 1, qadj, [1] * n, {0: (0, 0, 0)})
+    # ties go to the fewest children, then the smallest mask: every even position
+    assert (weight, -negc, -negm) == (n // 2, n // 2, sum(1 << i for i in range(0, n, 2)))

@@ -17,6 +17,9 @@ from isreconf import (GenProfile, Graph, gen_instance, lambda_all, lambda_single
                       reach_tar, reach_tj, reach_ts, stats)
 
 
+THRESHOLD_DRAWS = 2000
+
+
 def threshold_instance(seed, n):
     """Threshold graph on 0..n-1 (each new vertex isolated or dominating) and
     two different maximal independent sets of equal size."""
@@ -37,8 +40,12 @@ def threshold_instance(seed, n):
         return frozenset(chosen)
 
     s = maximal_independent()
-    t = next(t for t in iter(maximal_independent, None) if len(t) == len(s) and t != s)
-    return g, s, t
+    for _ in range(THRESHOLD_DRAWS):
+        t = maximal_independent()
+        if len(t) == len(s) and t != s:
+            return g, s, t
+    raise ValueError(f"threshold_instance({seed}, {n}): no second maximal independent set "
+                     f"of size {len(s)} in {THRESHOLD_DRAWS} draws")
 
 
 def moves(seq):
@@ -126,3 +133,9 @@ def test_set_conversions_are_bounded_by_the_results(name, conversions):
     results = len(out) if isinstance(out, dict) else 1
     assert stats.get("nodes_deleted") > 0
     assert conversions[0] <= 4 + results
+
+
+def test_threshold_instance_gives_up_with_a_clear_error():
+    # seed 0 at n = 12 has no second maximal independent set of its first one's size
+    with pytest.raises(ValueError, match=r"threshold_instance\(0, 12\): no second"):
+        threshold_instance(0, 12)

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from isreconf import (InputError, alpha, lambda_all, lambda_nd,
-                      lambda_single, lambda_step, oracle_lambda,
-                      shrink_module, verify_sequence)
+from isreconf import (GenProfile, Graph, InputError, alpha, decomposition, gen_instance,
+                      lambda_all, lambda_nd, lambda_single, lambda_step, oracle_lambda,
+                      reach_tar, shrink_module, tar_engine, verify_sequence)
 
 from helpers import (cycle_graph, edgeless_graph, join_all, path_graph,
-                     random_graph, random_independent_set, star_graph)
+                     random_graph, random_independent_set, star_graph, threshold_sides)
 
 
 def check_result(g, res, expect_size=None):
@@ -169,3 +169,47 @@ def test_lambda_step_rejects_a_missing_table_for_a_seeded_part():
             lambda_step(g, 1, {1, 3}, parts, tables)
     table = tables_for(g, parts, {1, 3})[0]
     assert lambda_step(g, 1, {1, 3}, parts, [table, None]).size == 2
+
+
+def test_block_built_twin_partitions_match_vertex_built_ones(monkeypatch):
+    """Rule 2a groups the pool by its slices and the class search regroups
+    its classes after the clique drop; each such partition must equal one
+    built vertex by vertex on a view no earlier call has memoised."""
+    real = decomposition._twin_masks
+    checked = [0]
+
+    def bare(g):
+        return Graph._from_adj(list(g._uid), g._adj)._derive(g._vmask)
+
+    def checking(g, blocks=None):
+        out = real(g, blocks)
+        if blocks is not None:
+            assert sum(blocks) == g._vmask and sum(b.bit_count() for b in blocks) == g.n
+            for b in blocks:
+                assert b.bit_count() == 1 or (g._independent(b) and
+                                              decomposition._is_module_mask(g, b))
+            fresh = real(bare(g))
+            assert out == fresh
+            assert real(bare(g), blocks) == fresh
+            checked[0] += 1
+        return out
+
+    monkeypatch.setattr(tar_engine, "_twin_masks", checking)
+    cases = [threshold_sides(seed, 150) for seed in range(3)]
+    cases += [gen_instance(seed, GenProfile(n=150, width=6, rule="tar"))[:3] for seed in range(3)]
+    for g, s, t in cases:
+        for res in lambda_all(g, s).values():
+            check_result(g, res)
+        answer = reach_tar(g, min(len(s), len(t)) // 2, s, t)
+        if answer.reachable:
+            assert verify_sequence(g, answer.certificate) == t
+    assert checked[0] >= 2000
+
+
+def test_engine_invariants_hold_on_deep_threshold_graphs():
+    # the checked rule loop compares the slice-built pool partition with a
+    # vertex-built one after every rule, at every level of a deep decomposition
+    for seed in range(4):
+        g, s, _ = threshold_sides(seed, 40)
+        for res in lambda_all(g, s, check=True).values():
+            check_result(g, res)
