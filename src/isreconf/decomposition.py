@@ -7,8 +7,10 @@ refinement plus splitter closure.  The refinement leaves a modular
 partition, so the closures run on its quotient, one vertex per part: a
 union of parts is a module of the graph iff it is one of the quotient
 (Habib and Paul, Comput. Sci. Rev. 2010).  Deliberately not the linear-time
-algorithm; desk-scale inputs tolerate a near-cubic bound and the simple
-version is easy to validate against brute force.
+algorithm, and easy to validate against brute force: each part the
+refinement pops costs one pass over its members' rows, and a part is popped
+once per cut above it, so a prime node of order n costs at most O(n^2) row
+operations.
 """
 
 from __future__ import annotations
@@ -109,50 +111,35 @@ def _min_module(g: Graph, seed: int) -> int:
 def _prime_child_masks(g: Graph) -> list[int]:
     """Maximal proper modules of a connected, co-connected graph.
 
-    Refining {v, N(v), rest} by every vertex as pivot yields exactly the
-    maximal modules avoiding v; the one containing v is the union of the
-    fragments whose closure with v stays proper.  {v} and the fragments
-    form a modular partition, so each closure is taken on its quotient,
-    one vertex per part, rather than on g.
+    Starting from {v}, N(v) and the rest, any part that some outside vertex
+    sees only in part is cut by that vertex's row until every part is a
+    module.  No cut separates a module that avoids the cutting vertex, so
+    the parts end as exactly the maximal modules avoiding v; the one
+    containing v is the union of the fragments whose closure with v stays
+    proper.  {v} and the fragments form a modular partition, so each
+    closure is taken on its quotient, one vertex per part, rather than on g.
     """
     live = g._vmask
     adj = g._adj
     vbit = live & -live
-    vpos = vbit.bit_length() - 1
+    nv = adj[vbit.bit_length() - 1] & live
+    # {v} is never cut, so parts[0] is quotient vertex 0
     parts = [vbit]
-    nv = adj[vpos] & live
-    rest = live & ~nv & ~vbit
-    if nv:
-        parts.append(nv)
-    if rest:
-        parts.append(rest)
-    # worklist refinement: a pivot never splits its own part, so when a part
-    # splits, its members regain splitting power and must be re-processed
-    queue = list(bits(live))
-    queued = live
-    while queue:
-        p = queue.pop()
-        queued &= ~(1 << p)
-        nb = adj[p]
-        pb = 1 << p
-        nxt = []
-        for part in parts:
-            if part & pb:
-                nxt.append(part)
-                continue
-            inside = part & nb
-            if inside and inside != part:
-                nxt.append(inside)
-                nxt.append(part & ~inside)
-                revive = part & ~queued
-                for q in bits(revive):
-                    queue.append(q)
-                queued |= revive
-            else:
-                nxt.append(part)
-        parts = nxt
+    todo = [m for m in (nv, live & ~nv & ~vbit) if m]
+    while todo:
+        part = todo.pop()
+        x = 0
+        y = -1
+        for p in bits(part):
+            x |= adj[p]
+            y &= adj[p]
+        splitters = x & ~y & live & ~part
+        if splitters:
+            inside = part & adj[(splitters & -splitters).bit_length() - 1]
+            todo += (inside, part & ~inside)
+        else:
+            parts.append(part)
 
-    # parts[0] is {v}, which no pivot splits: vertex 0 of the quotient
     quotient = Graph._from_adj(list(range(len(parts))), quotient_adjacency(g, parts))
     home = vbit
     others = []

@@ -22,7 +22,11 @@ DEFAULT_CAP = 20
 
 def oracle_cap() -> int:
     """Current vertex cap; RECONF_ORACLE_CAP overrides the default of 20."""
-    return int(os.environ.get("RECONF_ORACLE_CAP", DEFAULT_CAP))
+    text = os.environ.get("RECONF_ORACLE_CAP", str(DEFAULT_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"RECONF_ORACLE_CAP must be an integer: {text!r}") from None
 
 
 def _check_instance(g: Graph, s, t, cap: int | None) -> tuple[int, int]:

@@ -214,6 +214,17 @@ def test_oracle_command_and_cap(tmp_path, capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+def test_malformed_oracle_cap_is_input_error(tmp_path, capsys, monkeypatch):
+    gpath = write_instance(tmp_path, cycle_graph([1, 2, 3, 4]),
+                           {"rule": "tar", "k": 0, "start": [1, 3], "target": [2, 4]})
+    monkeypatch.setenv("RECONF_ORACLE_CAP", "abc")
+    for argv in (["oracle", gpath, "--json"],
+                 ["bench", "--seeds", "0:2", "--profile", "n=9,width=3,rule=tar"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "RECONF_ORACLE_CAP" in json.loads(err)["error"]
+
+
 def test_gen_then_solve(tmp_path, capsys):
     out_prefix = tmp_path / "demo"
     code, out, _ = run(capsys, "gen", "--seed", "5",

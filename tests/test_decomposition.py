@@ -278,14 +278,37 @@ def substituted_prime(draw):
     return Graph(ids, edges), {frozenset(m) for m in modules}
 
 
+def maximal_modules(g):
+    """Brute force: the maximal proper modules of g."""
+    vs = g.ids
+    proper = [s for state in range(1, (1 << len(vs)) - 1)
+              if is_module(g, s := frozenset(v for i, v in enumerate(vs) if state >> i & 1))]
+    return {s for s in proper if not any(s < t for t in proper)}
+
+
 @settings(max_examples=80, deadline=None)
 @given(substituted_prime())
 def test_top_partition_finds_substituted_modules(case):
     # the home module of vertex 1 is closed on the refinement's quotient;
-    # the random graphs above seldom give it two or more fragments
+    # these random graphs seldom give it three fragments, the next test does
     g, modules = case
-    vs = g.ids
-    proper = [s for state in range(1, (1 << len(vs)) - 1)
-              if is_module(g, s := frozenset(v for i, v in enumerate(vs) if state >> i & 1))]
-    maximal = {s for s in proper if not any(s < t for t in proper)}
-    assert set(top_partition(g)) == maximal == modules
+    assert set(top_partition(g)) == maximal_modules(g) == modules
+
+
+def test_top_partition_closes_a_home_of_three_fragments():
+    # the P4 1-2-3-4 substituted for the second vertex of the P4 5-x-6-7:
+    # the maximal modules avoiding vertex 1 are single vertices, and its
+    # home {1, 2, 3, 4} is closed from the fragments {2}, {3} and {4}
+    g = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (6, 7)]
+              + [(u, v) for v in range(1, 5) for u in (5, 6)])
+    want = [frozenset({1, 2, 3, 4}), frozenset({5}), frozenset({6}), frozenset({7})]
+    assert top_partition(g) == want and set(want) == maximal_modules(g)
+    assert modular_width(g) == 4
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_top_partition_of_paths_and_cycles(n):
+    # both are prime (C_n from n = 5), so the maximal modules are the vertices
+    for g in [path_graph(range(1, n + 1))] + [cycle_graph(range(1, n + 1))] * (n >= 5):
+        assert top_partition(g) == [frozenset({v}) for v in range(1, n + 1)]
+        assert set(top_partition(g)) == maximal_modules(g)

@@ -5,7 +5,10 @@ stacks, so no entry point nests calls per decomposition level or raises
 the recursion limit.  Each case runs with the limit set to the caller's
 frame depth plus 100, on an input that nested deeper than that when the
 solvers recursed (``modular_width`` and alpha already used worklists);
-results are pinned to the values computed then.
+results are pinned to the values computed then.  The wide inputs are
+shallow instead: each root is a prime node of order 1000 or 500, its
+modular width, so the prime split and alpha's branching over the quotient
+run at that order under the same limit.
 """
 
 import contextlib
@@ -14,13 +17,14 @@ import io
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from isreconf import (Graph, alpha, lambda_all, lambda_single, md_tree, modular_width, reach_nd,
-                      reach_tar, reach_tj, reach_ts)
+                      reach_tar, reach_tj, reach_ts, top_partition)
 from isreconf.cli import main
 from isreconf.dimacs import emit_graph
 
@@ -47,6 +51,18 @@ def matching(m=120):
     """m disjoint edges: m clique twin classes, which ``reach_nd`` used to nest one call each."""
     g = Graph(range(2 * m), [(2 * i, 2 * i + 1) for i in range(m)])
     return g, frozenset(range(0, 2 * m, 2)), frozenset(range(1, 2 * m, 2))
+
+
+def wide_prime(n, cycle=False, twins=1):
+    """P_n, or C_n, with each vertex replaced by ``twins`` false twins: a prime root of order n."""
+    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * cycle
+    g = Graph(range(n * twins), [(i * twins + a, j * twins + b) for i, j in edges
+                                 for a in range(twins) for b in range(twins)])
+    return g, None, None
+
+
+def width_parts_alpha(g, s, t):
+    return modular_width(g), Counter(map(len, top_partition(g))), alpha(g).size
 
 
 def answer(ans):
@@ -96,6 +112,9 @@ CASES = {  # name: (input, call, result)
     "reach_ts": (threshold300, lambda g, s, t: reach_ts(g, s, t), True),
     "decompose": (threshold300, decompose_digest,
                   "1fc01a9db5f23f90c8975c0f4780640ddb0bb4001ce711f6fcd2f92adeea4a54"),
+    "wide_path": (lambda: wide_prime(1000), width_parts_alpha, (1000, {1: 1000}, 500)),
+    "wide_cycle": (lambda: wide_prime(1000, cycle=True), width_parts_alpha, (1000, {1: 1000}, 500)),
+    "wide_twin_path": (lambda: wide_prime(500, twins=2), width_parts_alpha, (500, {2: 500}, 500)),
 }
 
 
