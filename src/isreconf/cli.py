@@ -187,6 +187,7 @@ def cmd_solve(args) -> int:
         final = verify_sequence(g, seq)
         if final != inst.target:
             raise InternalError("certificate does not end at the target set")
+        out["sequence_rule"] = {"rule": seq.rule.kind, "k": seq.rule.k}
         out["sequence"] = _sequence_json(seq)
     _emit(out, args.json)
     return 0

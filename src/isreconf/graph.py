@@ -185,25 +185,21 @@ class Graph:
         return [self._idset(c) for c in self._component_masks()]
 
     def _component_masks(self) -> list[int]:
-        cached = self._memo.get("comps")
-        if cached is None:
-            cached = []
-            adj = self._adj
-            todo = self._vmask
-            while todo:
-                start = todo & -todo
-                comp = start
-                frontier = start
-                while frontier:
-                    grown = 0
-                    for p in bits(frontier):
-                        grown |= adj[p]
-                    frontier = grown & todo & ~comp
-                    comp |= frontier
-                cached.append(comp)
-                todo &= ~comp
-            self._memo["comps"] = cached
-        return cached
+        """Connected components as position masks, ordered by lowest member."""
+        out = []
+        adj = self._adj
+        todo = self._vmask
+        while todo:
+            comp = frontier = todo & -todo
+            while frontier:
+                grown = 0
+                for p in bits(frontier):
+                    grown |= adj[p]
+                frontier = grown & todo & ~comp
+                comp |= frontier
+            out.append(comp)
+            todo &= ~comp
+        return out
 
     def _co_component_masks(self) -> list[int]:
         """Components of the complement graph, as position masks.

@@ -29,11 +29,8 @@ def alpha(g: Graph) -> AlphaResult:
     subproblems.  Ties go to the fewest children, then to the numerically
     smallest child-index mask, so witnesses are deterministic.
     """
-    cached = g._memo.get("alpha")
-    if cached is None:
-        size, mask = _alpha_mask(g)
-        cached = g._memo["alpha"] = AlphaResult(size, g._idset(mask))
-    return cached
+    size, mask = _alpha_mask(g)
+    return AlphaResult(size, g._idset(mask))
 
 
 def _alpha_mask(g: Graph) -> tuple[int, int]:

@@ -190,8 +190,8 @@ def shrink_module(g: Graph, seed, module, witness) -> Graph:
 class EngineState:
     """Mutable working state of the rule loop (one instance per run)."""
 
-    __slots__ = ("g", "k", "seed", "h", "r", "part_masks", "live", "pool",
-                 "slices", "thr", "thr0", "rope", "mod_ropes")
+    __slots__ = ("g", "k", "seed", "h", "r", "part_masks", "live", "slices",
+                 "thr", "thr0", "rope", "mod_ropes")
 
     def __init__(self, g: Graph, k: int, seed: int, part_masks: list[int]):
         self.g = g
@@ -200,9 +200,8 @@ class EngineState:
         self.h = g
         self.r = seed
         self.part_masks = part_masks
-        self.live = [False] * len(part_masks)
-        self.pool = 0
-        self.slices: list[int] = []    # what h keeps of each dead part; pool is their union
+        self.live = 0                  # union of the live parts
+        self.slices: list[int] = []    # what h keeps of each dead part; the pool is their union
         self.thr = [0] * len(part_masks)
         self.thr0 = 0
         self.rope = EMPTY
@@ -211,40 +210,41 @@ class EngineState:
     def check(self) -> None:
         """Assert the loop invariants; meant for small test instances."""
         g, h, r = self.g, self.h, self.r
-        covered = self.pool
-        for i, pm in enumerate(self.part_masks):
-            if self.live[i]:
-                if pm & covered:
-                    raise InternalError("parts overlap the pool")
-                covered |= pm
-        if covered != h._vmask or h._vmask & ~g._vmask:
+        pool = 0
+        for sl in self.slices:
+            if sl & pool:
+                raise InternalError("pool slices overlap")
+            pool |= sl
+        live_parts = [i for i, pm in enumerate(self.part_masks) if pm & self.live]
+        if any(self.part_masks[i] & ~self.live for i in live_parts):
+            raise InternalError("the live mask is not a union of whole parts")
+        if pool & self.live or pool | self.live != h._vmask or h._vmask & ~g._vmask:
             raise InternalError("pool and live parts do not partition V(H)")
         if _replay(g, ReconfSequence(Rule.tar(max(self.k, 0)), g._idset(self.seed),
                                      self.rope.flatten())) != r:
             raise InternalError("accumulated sequence does not end at R")
-        if sum(self.slices) != self.pool or len(self.slices) != self.live.count(False):
-            raise InternalError("the pool is not the union of one slice per dead part")
+        if len(self.slices) != len(self.part_masks) - len(live_parts):
+            raise InternalError("the pool is not one slice per dead part")
         for sl in self.slices:
             if not h._independent(sl) or not _is_module_mask(h, sl):
                 raise InternalError("a pool slice is not an edgeless module of H")
-        if self.pool:
+        if pool:
             # fresh views, so neither partition reads one that Rule 2a memoised
             def bare() -> Graph:
-                return Graph._from_adj(list(g._uid), g._adj)._derive(self.pool)
+                return Graph._from_adj(list(g._uid), g._adj)._derive(pool)
             classes = _twin_masks(bare())
             if _twin_masks(bare(), self.slices) != classes:
                 raise InternalError("slice-built pool partition differs from the vertex one")
-            if len(classes) > self.live.count(False):
+            if len(classes) > len(self.slices):
                 raise InternalError("pool twin-class count exceeds the empty-part budget")
-        slots = [(self.pool, self.thr0)] if self.pool else []
-        slots += [(pm, self.thr[i]) for i, pm in enumerate(self.part_masks) if self.live[i]]
+        slots = [(pool, self.thr0)] if pool else []
+        slots += [(self.part_masks[i], self.thr[i]) for i in live_parts]
         for pm, t in slots:
             inside = (r & pm).bit_count()
             if not (self.k - (r & ~pm).bit_count() <= t <= inside):
                 raise InternalError("threshold outside its invariant window")
-        for i, pm in enumerate(self.part_masks):
-            if not self.live[i]:
-                continue
+        for i in live_parts:
+            pm = self.part_masks[i]
             if not r & pm:
                 raise InternalError("live part lost all tokens")
             part_g = g._derive(pm)
@@ -305,10 +305,9 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
     for i, pm in enumerate(part_masks):
         if st.r & pm == 0:
             st.h = _drop(st.h, pm & ~alphas[i][1])
-            st.pool |= alphas[i][1]
             st.slices.append(alphas[i][1])
         else:
-            st.live[i] = True
+            st.live |= pm
             st.thr[i] = (st.r & pm).bit_count()
             rmask, rope = yield tables[i], st.thr[i]
             st.rope = MoveRope.cat(st.rope, rope)
@@ -323,15 +322,13 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
         # Rule 1: a live part whose slice is already a maximum independent
         # set of the part is frozen there; survivors join the pool.
         for i, pm in enumerate(part_masks):
-            if st.live[i] and (st.r & pm).bit_count() == alphas[i][0]:
+            if pm & st.live and (st.r & pm).bit_count() == alphas[i][0]:
                 st.h = _drop(st.h, pm & ~st.r)
-                st.pool |= pm & st.r
                 st.slices.append(pm & st.r)
-                # tokens just entered the pool, so its floor window moved
-                st.thr0 = max(st.thr0, k - (st.r & ~st.pool).bit_count())
-                st.live[i] = False
-                st.thr[i] = 0
-                st.mod_ropes[i] = EMPTY
+                st.live &= ~pm
+                # tokens just entered the pool, so its floor window moved; r lies in
+                # V(H), the pool and the live parts, so r & live is r outside the pool
+                st.thr0 = max(st.thr0, k - (st.r & st.live).bit_count())
                 applied = True
                 break
         if applied:
@@ -345,11 +342,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
         # so one member's row decides the whole slice, and the free slices
         # are the blocks of the f0 view's twin partition, memoised here for
         # the class search.
-        live_union = 0
-        for i, pm in enumerate(part_masks):
-            if st.live[i]:
-                live_union |= pm
-        free = [s for s in st.slices if not st.h._adj[s.bit_length() - 1] & live_union]
+        free = [s for s in st.slices if not st.h._adj[s.bit_length() - 1] & st.live]
         if free:
             f0 = sum(free)
             rf0 = st.r & f0
@@ -369,7 +362,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
         # Rule 2b: improve inside one live part via its table, at the floor
         # its current slack allows.
         for i, pm in enumerate(part_masks):
-            if not st.live[i]:
+            if not pm & st.live:
                 continue
             j = k - (st.r & ~pm).bit_count()
             cur = (st.r & pm).bit_count()

@@ -185,8 +185,8 @@ def _reach_tar(g: Graph, k: int, s: int, t: int, classes: bool = False) -> MoveR
                 rope = MoveRope.cat(rope, out[1])
                 continue
         else:
-            comp_masks = g._component_masks()
-            if len(comp_masks) > 1:
+            kind, part_masks = _root_child_masks(g)
+            if kind == "parallel":
                 # normalized to largest reachable sets, components keep their token counts
                 s2, rs = _solver(solvers, g, s)(k)
                 t2, rt = _solver(solvers, g, t)(k)
@@ -196,9 +196,8 @@ def _reach_tar(g: Graph, k: int, s: int, t: int, classes: bool = False) -> MoveR
                 rope = MoveRope.cat(rope, rs)
                 todo.append(MoveRope.rev(rt))
                 todo.extend((g._derive(cm), k - (size - (s2 & cm).bit_count()), s2 & cm, t2 & cm,
-                             False, True) for cm in reversed(comp_masks))
+                             False, True) for cm in reversed(part_masks))
                 continue
-            _, part_masks = _root_child_masks(g)
             pm = next((pm for pm in part_masks if not g._independent(pm)), None)
             if pm is None:
                 todo.append((g, k, s, t, True, False))

@@ -45,9 +45,10 @@ def ts_big_module(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozen
     s = frozenset(s)
     t = frozenset(t)
     pm = _module_mask(g, module)
-    if (g._mask(s) & pm).bit_count() < 2:
+    smask, tmask = _pair_masks(g, s, t)
+    if (smask & pm).bit_count() < 2:
         raise InputError("the module must hold at least two source tokens")
-    h = _big_module(g, g._mask(t), pm)
+    h = _big_module(g, tmask, pm)
     return None if h is None else (h, s, t)
 
 
@@ -67,7 +68,7 @@ def ts_shrink(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozenset[
     """
     s = frozenset(s)
     pm = _module_mask(g, module)
-    smask, tmask = g._mask(s), g._mask(t)
+    smask, tmask = _pair_masks(g, s, t)
     if smask.bit_count() != tmask.bit_count():
         raise InputError("both sides must hold the same number of tokens")
     if (smask & pm).bit_count() > 1 or (tmask & pm).bit_count() > 1:
@@ -97,7 +98,8 @@ def ts_aux_decide(red: TsReduction) -> bool:
     h = red.h
     if len(red.start) != len(red.target):
         raise InputError("reduced sides must have equal size")
-    return _aux_decide(h, h._mask(red.start), h._mask(red.target), h._mask(red.vacancies))
+    smask, tmask = _pair_masks(h, red.start, red.target)
+    return _aux_decide(h, smask, tmask, h._mask(red.vacancies))
 
 
 def _aux_decide(h: Graph, smask: int, tmask: int, vacancies: int) -> bool:
@@ -144,11 +146,10 @@ def _reach_ts(g: Graph, s: int, t: int) -> bool:
             return False
         if s == t:
             continue
-        comp_masks = g._component_masks()
-        if len(comp_masks) > 1:
-            todo.extend((g._derive(cm), s & cm, t & cm) for cm in reversed(comp_masks))
+        kind, parts = _root_child_masks(g)
+        if kind == "parallel":
+            todo.extend((g._derive(cm), s & cm, t & cm) for cm in reversed(parts))
             continue
-        _, parts = _root_child_masks(g)
         big = next((pm for pm in parts if (s & pm).bit_count() >= 2), None)
         if big is not None:
             h = _big_module(g, t, big)

@@ -106,6 +106,29 @@ def test_solve_certify_round_trip(tmp_path, capsys):
     assert verdict["final"] == [3]
 
 
+def test_solve_certify_round_trip_under_tj(tmp_path, capsys):
+    # a TJ certificate is a TAR(|S|-1) sequence of removes and adds
+    gpath = write_instance(tmp_path, path_graph([1, 2, 3, 4, 5]),
+                           {"rule": "tj", "start": [1, 3], "target": [3, 5]})
+    code, out, _ = run(capsys, "solve", gpath, "--certify", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["answer"] == "yes"
+    assert payload["sequence_rule"] == {"rule": "tar", "k": 1}
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps(payload["sequence"]))
+    code, out, _ = run(capsys, "verify", gpath, "--sequence", str(seq_path), "--json")
+    assert code == 0
+    assert json.loads(out)["answer"] == "invalid"
+    printed = payload["sequence_rule"]
+    code, out, _ = run(capsys, "verify", gpath, "--sequence", str(seq_path), "--json",
+                       "--rule", printed["rule"], "--k", str(printed["k"]))
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["answer"] == "valid"
+    assert verdict["final"] == [3, 5]
+
+
 def test_verify_rejects_bad_sequence(tmp_path, capsys):
     gpath = write_instance(tmp_path, path_graph([1, 2, 3]),
                            {"rule": "tar", "k": 1, "start": [1], "target": [3]})

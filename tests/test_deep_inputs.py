@@ -8,13 +8,16 @@ solvers recursed (``modular_width`` and alpha already used worklists);
 results are pinned to the values computed then.  The wide inputs are
 shallow instead: each root is a prime node of order 1000 or 500, its
 modular width, so the prime split and alpha's branching over the quotient
-run at that order under the same limit.
+run at that order under the same limit.  On a sparse random prime only
+the split runs: alpha's branching over its quotient may take time
+exponential in the order.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from collections import Counter
@@ -61,8 +64,21 @@ def wide_prime(n, cycle=False, twins=1):
     return g, None, None
 
 
+def sparse_prime(n, seed=0):
+    """The path 0..n-1 plus random chords up to 2n edges; seed 0 gives a prime root of order n."""
+    rng = random.Random(seed)
+    edges = {(i, i + 1) for i in range(n - 1)}
+    while len(edges) < 2 * n:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(range(n), edges), None, None
+
+
+def width_parts(g, s, t):
+    return modular_width(g), Counter(map(len, top_partition(g)))
+
+
 def width_parts_alpha(g, s, t):
-    return modular_width(g), Counter(map(len, top_partition(g))), alpha(g).size
+    return (*width_parts(g, s, t), alpha(g).size)
 
 
 def answer(ans):
@@ -115,6 +131,8 @@ CASES = {  # name: (input, call, result)
     "wide_path": (lambda: wide_prime(1000), width_parts_alpha, (1000, {1: 1000}, 500)),
     "wide_cycle": (lambda: wide_prime(1000, cycle=True), width_parts_alpha, (1000, {1: 1000}, 500)),
     "wide_twin_path": (lambda: wide_prime(500, twins=2), width_parts_alpha, (500, {2: 500}, 500)),
+    # decomposition only: alpha on a random quotient of this order may take exponential time
+    "wide_sparse_prime": (lambda: sparse_prime(1000), width_parts, (1000, {1: 1000})),
 }
 
 

@@ -206,6 +206,26 @@ def test_block_built_twin_partitions_match_vertex_built_ones(monkeypatch):
     assert checked[0] >= 2000
 
 
+def test_engine_invariants_hold_on_prime_roots(monkeypatch):
+    # threshold graphs have no prime node; here the checked rule loop runs on
+    # prime nodes of up to 8 parts, with dead and live parts side by side
+    mixed = []
+    check = tar_engine.EngineState.check
+
+    def counted(st):
+        if st.slices and st.live:
+            mixed.append(len(st.part_masks))
+        check(st)
+
+    monkeypatch.setattr(tar_engine.EngineState, "check", counted)
+    for width in (4, 6, 8):
+        for seed in range(4):
+            g, s, _, _ = gen_instance(seed, GenProfile(n=60, width=width, rule="tar"))
+            for res in lambda_all(g, s, check=True).values():
+                check_result(g, res)
+    assert max(mixed) >= 7 and sum(n >= 4 for n in mixed) >= 100
+
+
 def test_engine_invariants_hold_on_deep_threshold_graphs():
     # the checked rule loop compares the slice-built pool partition with a
     # vertex-built one after every rule, at every level of a deep decomposition

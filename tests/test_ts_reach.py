@@ -81,6 +81,20 @@ def test_ts_shrink_validates():
         ts_shrink(g, {1, 3}, {1, 3}, {1, 3})
 
 
+def test_ts_lemmas_refuse_dependent_token_sets():
+    # both sides are edges of g; {1, 2} is a module (each sees only 3 outside)
+    g = Graph([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+    with pytest.raises(InputError, match="independent"):
+        reach_ts(g, {1, 2}, {4, 5})
+    with pytest.raises(InputError, match="independent"):
+        ts_big_module(g, {1, 2}, {4, 5}, {1, 2})
+    with pytest.raises(InputError, match="independent"):
+        ts_shrink(g, {1, 2}, {4, 5}, {1})
+    p3 = path_graph([1, 2, 3])
+    with pytest.raises(InputError, match="independent"):
+        ts_aux_decide(TsReduction(p3, frozenset({1, 2}), frozenset({1, 2}), ()))
+
+
 def test_aux_decide_examples():
     p3 = path_graph([1, 2, 3])
     assert ts_aux_decide(TsReduction(p3, frozenset({1}), frozenset({1}), ()))
