@@ -36,7 +36,7 @@ def _emit(obj: dict, compact: bool) -> None:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -197,7 +197,7 @@ def cmd_verify(args) -> int:
     inst = _load_instance(args)
     try:
         payload = json.loads(_read(args.sequence))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"sequence file is not valid JSON: {exc}") from None
     if not isinstance(payload, list):
         raise InputError("sequence file must be a JSON array of moves")
@@ -235,8 +235,11 @@ def cmd_gen(args) -> int:
     rule = Rule.tar(k) if profile.rule == TAR else Rule(profile.rule)
     graph_path = Path(str(args.out) + ".gr")
     sidecar_path = Path(str(graph_path) + ".json")
-    graph_path.write_text(emit_graph(g))
-    sidecar_path.write_text(sidecar_json(rule, s, t))
+    for path, text in ((graph_path, emit_graph(g)), (sidecar_path, sidecar_json(rule, s, t))):
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from None
     _emit({
         "answer": "ok",
         "graph": str(graph_path),

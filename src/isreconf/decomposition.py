@@ -16,7 +16,7 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import stats
 from .errors import InputError, InternalError
@@ -190,31 +190,35 @@ def quotient_adjacency(g: Graph, masks: list[int]) -> list[int]:
     return qadj
 
 
-def _modules(g: Graph, key: str) -> list[tuple[Graph, list[Graph]]]:
-    """Module subgraphs of g with 2+ vertices and their children, parents first, leaving
-    out subtrees whose memo holds ``key``; the tree walks fill ``key`` in reverse."""
+def _fold(g: Graph, key: str, leaf: Callable, node: Callable):
+    """A value folded children first over g's decomposition tree, memoised under ``key``.
+
+    Each module subgraph h with 2+ vertices whose memo lacks ``key`` gets
+    ``node(h, kind, masks, values)``, where ``values`` are its children's
+    values in ``masks`` order; a single vertex (or g itself when n <= 1)
+    gets ``leaf(h)``, which is not memoised.
+    """
+    if g.n <= 1:
+        return leaf(g)
     order = []
-    todo = [g] if g.n > 1 and key not in g._memo else []
+    todo = [g] if key not in g._memo else []
     while todo:
         h = todo.pop()
         kids = [h._derive(m) for m in _root_child_masks(h)[1]]
         order.append((h, kids))
         todo.extend(c for c in kids if c.n > 1 and key not in c._memo)
-    return order
+    for h, kids in reversed(order):
+        h._memo[key] = node(h, *_root_child_masks(h),
+                            [c._memo[key] if c.n > 1 else leaf(c) for c in kids])
+    return g._memo[key]
 
 
 def md_tree(g: Graph) -> MDNode:
     """Modular decomposition tree of a nonempty graph."""
     if g.n == 0:
         raise InputError("modular decomposition needs a nonempty graph")
-    for h, kids in reversed(_modules(g, "mdtree")):
-        h._memo["mdtree"] = MDNode(_root_child_masks(h)[0], h.vertices, tuple(map(_md_node, kids)))
-    return _md_node(g)
-
-
-def _md_node(h: Graph) -> MDNode:
-    """The memoised tree of a module subgraph, or the leaf of a single vertex."""
-    return h._memo["mdtree"] if h.n > 1 else MDNode("leaf", h.vertices, vertex=h.ids[0])
+    return _fold(g, "mdtree", lambda h: MDNode("leaf", h.vertices, vertex=h.ids[0]),
+                 lambda h, kind, masks, kids: MDNode(kind, h.vertices, tuple(kids)))
 
 
 def top_partition(g: Graph) -> list[frozenset[int]]:
@@ -235,18 +239,13 @@ def modular_width(g: Graph) -> int:
 
     Equals the maximum child count over prime nodes of the decomposition
     tree; any graph with at least two vertices needs width 2 even when
-    cograph operations suffice.  The module subgraphs are walked without
+    cograph operations suffice.  The module subgraphs are folded without
     building ``MDNode`` values.
     """
     if g.n == 0:
         raise InputError("modular width of the empty graph is undefined")
-    if g.n == 1:
-        return 1
-    for h, kids in reversed(_modules(g, "mw")):
-        kind, masks = _root_child_masks(h)
-        h._memo["mw"] = max([len(masks) if kind == "prime" else 2]
-                            + [c._memo["mw"] for c in kids if c.n > 1])
-    return g._memo["mw"]
+    return _fold(g, "mw", lambda h: 1, lambda h, kind, masks, kids:
+                 max([len(masks) if kind == "prime" else 2] + kids))
 
 
 def nd_partition(g: Graph) -> list[TwinClass]:

@@ -148,7 +148,7 @@ class Instance:
 def load_sidecar(text: str) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"sidecar is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InputError("sidecar must be a JSON object")

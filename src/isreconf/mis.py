@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import _modules, _root_child_masks, quotient_adjacency
+from .decomposition import _fold, quotient_adjacency
 from .graph import Graph, bits
 
 
@@ -39,19 +39,16 @@ def _alpha_mask(g: Graph) -> tuple[int, int]:
     Unsolved module subgraphs are solved children first; disjoint
     children's masks add.
     """
-    if g.n <= 1:
-        return g.n, g._vmask
-    for h, kids in reversed(_modules(g, "alpha_mask")):
-        kind, masks = _root_child_masks(h)
-        parts = [_alpha_mask(c) for c in kids]
-        if kind == "parallel":
-            result = (sum(p[0] for p in parts), sum(p[1] for p in parts))
-        elif kind == "series":
-            result = max(parts, key=lambda p: p[0])
-        else:
-            result = _alpha_prime(h, masks, parts)
-        h._memo["alpha_mask"] = result
-    return g._memo["alpha_mask"]
+    return _fold(g, "alpha_mask", lambda h: (h.n, h._vmask), _alpha_node)
+
+
+def _alpha_node(g: Graph, kind: str, masks: list[int], parts: list[tuple[int, int]]) -> tuple[int, int]:
+    """Alpha and witness mask of a module subgraph from its children's."""
+    if kind == "parallel":
+        return sum(p[0] for p in parts), sum(p[1] for p in parts)
+    if kind == "series":
+        return max(parts, key=lambda p: p[0])
+    return _alpha_prime(g, masks, parts)
 
 
 def _alpha_prime(g: Graph, child_masks: list[int], parts: list[tuple[int, int]]) -> tuple[int, int]:

@@ -284,6 +284,23 @@ def test_bad_profile_and_missing_file(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "solve", str(tmp_path / "nope.gr"), "--json")
     assert code == 2
+    code, _, err = run(capsys, "gen", "--seed", "1", "--profile", "n=10",
+                       "--out", str(tmp_path / "missing" / "dir" / "x"))
+    assert code == 2 and json.loads(err)["answer"] == "error"
+    bad = tmp_path / "bad.gr"
+    bad.write_bytes(b"p edge 2 1\ne 1 2\n\xff\n")
+    code, _, err = run(capsys, "decompose", str(bad))
+    assert code == 2 and json.loads(err)["answer"] == "error"
+    deep = "[" * 100000 + "]" * 100000
+    gpath = write_instance(tmp_path, path_graph([1, 2, 3]),
+                           {"rule": "tar", "k": 1, "start": [1], "target": [3]})
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(deep)
+    code, _, err = run(capsys, "verify", gpath, "--sequence", str(seq_path))
+    assert code == 2 and json.loads(err)["answer"] == "error"
+    (tmp_path / "inst.gr.json").write_text(deep)
+    code, _, err = run(capsys, "solve", gpath)
+    assert code == 2 and json.loads(err)["answer"] == "error"
 
 
 def test_verify_ts_sequence(tmp_path, capsys):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isreconf import (Graph, InputError, brute_modular_width, is_module, md_tree,
-                      modular_width, nd_partition, top_partition)
+from isreconf import (GenProfile, Graph, InputError, brute_modular_width, gen_instance,
+                      is_module, md_tree, modular_width, nd_partition, top_partition)
 from isreconf.decomposition import _clique_class, _min_module, _twin_masks
 from isreconf.graph import bits
 
@@ -80,6 +80,19 @@ def test_modular_width_examples():
     assert modular_width(Graph([7])) == 1
     assert modular_width(complete_graph(2)) == 2
     assert modular_width(edgeless_graph(2)) == 2
+
+
+def test_module_folded_before_its_parent():
+    g, _, _, _ = gen_instance(5, GenProfile(n=150, width=10))
+    part = max((g._derive(g._mask(p)) for p in top_partition(g)), key=lambda sub: sub.n)
+    assert part.n > 1
+    part_tree, part_width = md_tree(part), modular_width(part)
+    tree, width = md_tree(g), modular_width(g)
+    assert any(child is part_tree for child in tree.children)
+    fresh = Graph._from_adj(list(g._uid), g._adj)
+    assert (tree, width) == (md_tree(fresh), modular_width(fresh))
+    fresh_part = fresh._derive(part._vmask)
+    assert (part_tree, part_width) == (md_tree(fresh_part), modular_width(fresh_part))
 
 
 def test_nd_partition_examples():
