@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 from .errors import InputError, RuleViolation, SequenceError
@@ -87,20 +88,25 @@ class Move:
             op = obj["op"]
             v = obj["v"]
         except (TypeError, KeyError):
-            raise InputError(f"malformed move object: {obj!r}") from None
+            raise InputError(f"malformed move object: {_shown(obj)}") from None
         if op in ("add", "remove"):
             return Move(op, _vertex_id(obj, v))
         if op in ("jump", "slide"):
             if "u" not in obj:
-                raise InputError(f"{op} move needs a source vertex u: {obj!r}")
+                raise InputError(f"{op} move needs a source vertex u: {_shown(obj)}")
             return Move(op, _vertex_id(obj, v), _vertex_id(obj, obj["u"]))
-        raise InputError(f"unknown move op {op!r}")
+        raise InputError(f"unknown move op {_shown(op)}")
+
+
+def _shown(value) -> str:
+    """A malformed move's repr for an error message: depth and size bounded, then cut to 100."""
+    return f"{reprlib.repr(value):.100}"
 
 
 def _vertex_id(obj: dict, v) -> int:
     """A move's vertex field, which JSON must give as an integer."""
     if type(v) is not int:
-        raise InputError(f"move vertices must be integers: {obj!r}")
+        raise InputError(f"move vertices must be integers: {_shown(obj)}")
     return v
 
 

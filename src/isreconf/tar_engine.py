@@ -16,13 +16,13 @@ filled from one explicit stack rather than by calls nested per level.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Generator, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import stats
 from .decomposition import (_clique_class, _drop, _is_module_mask, _module_mask,
-                            _root_child_masks, _twin_masks, quotient_adjacency)
+                            _root_child_masks, _twin_masks)
 from .errors import InputError, InternalError
-from .graph import Graph, bits
+from .graph import Graph
 from .mis import _alpha_mask
 from .moveseq import EMPTY, MoveRope, adds, removes
 from .rules import Move, ReconfSequence, Rule, _replay
@@ -83,6 +83,27 @@ def _result(g: Graph, seed: frozenset[int], floor: int,
     return LambdaResult(reached.bit_count(), g._idset(reached), seed, floor, rope)
 
 
+Hop = TypeVar("Hop")
+
+
+def _bfs(start: int, step: Callable[[int], Iterable[tuple[int, Hop]]],
+         parent: dict[int, tuple[int, Hop] | None]) -> Iterator[int]:
+    """Yield the states reachable from ``start`` in breadth-first order, ``start`` first.
+
+    ``step(state)`` yields ``(next state, hop)`` pairs.  ``parent`` records
+    each state as ``(the state it was found from, hop)`` when it is found,
+    before it is yielded, and ``start`` as None.
+    """
+    parent[start] = None
+    queue = [start]
+    for state in queue:
+        yield state
+        for nxt, hop in step(state):
+            if nxt not in parent:
+                parent[nxt] = state, hop
+                queue.append(nxt)
+
+
 def _class_search(g: Graph, floor: int, start: int,
                   goal: int | None = None) -> tuple[int, MoveRope] | None:
     """The class-union search behind ``lambda_nd``, Rule 2a and ``reach_nd``.
@@ -90,16 +111,16 @@ def _class_search(g: Graph, floor: int, start: int,
     Clique classes first keep a single vertex (the start's, if it has
     one), so every remaining class is edgeless and a token in a class can
     always be joined by the rest of it.  Start and goal are saturated that
-    way, and breadth-first search runs over unions of whole classes that
-    keep at least ``floor`` tokens.  Without a goal it returns the first
-    largest union found, as a position mask, and the moves from ``start``;
-    with one (which must avoid the dropped clique vertices) it returns
-    ``goal`` and the moves to it, or None if no union path joins the two.
-    Exponential in the twin-class count only.  The empty graph has one
-    union, the empty one, and no twin classes.
+    way, and ``_bfs`` runs over unions of whole classes, as position
+    masks, that keep at least ``floor`` tokens.  Without a goal it returns
+    the first largest union found and the moves from ``start``; with one
+    (which must avoid the dropped clique vertices) it returns ``goal`` and
+    the moves to it, or None if no union path joins the two.  Exponential
+    in the twin-class count only.  A start holding every vertex (so the
+    graph is edgeless, or empty) is already the largest union.
     """
-    if not g._vmask:
-        return 0, EMPTY
+    if start == g._vmask and goal in (None, start):
+        return start, EMPTY
     classes = _twin_masks(g)
     drop = 0
     for cm in classes:
@@ -110,59 +131,41 @@ def _class_search(g: Graph, floor: int, start: int,
         # twins stay twins without the dropped vertices, so regroup the classes
         g = g._derive(g._vmask & ~drop)
         classes = _twin_masks(g, [c & ~drop for c in classes])
-    sizes = [c.bit_count() for c in classes]
-    qadj = quotient_adjacency(g, classes)
+    # one member's row decides what a class sees, as the classes are modules
+    rows = [g._adj[(c & -c).bit_length() - 1] for c in classes]
 
     def saturate(side: int) -> tuple[int, list[Move]]:
-        state = sum(1 << i for i, c in enumerate(classes) if c & side)
-        return state, [Move.add(v) for i in bits(state) for v in g._ids(classes[i] & ~side)]
+        return (sum(c for c in classes if c & side),
+                [Move.add(v) for c in classes if c & side for v in g._ids(c & ~side)])
+
+    def step(state: int) -> Iterator[tuple[int, int]]:
+        """Toggle a class, the hop: add one ``state`` does not see, or drop one above the floor."""
+        size = state.bit_count()
+        for c, row in zip(classes, rows):
+            if not state & c:
+                if not row & state:
+                    yield state | c, c
+            elif size - c.bit_count() >= floor:
+                yield state ^ c, c
 
     state, moves = saturate(start)
     goal_state, goal_moves = saturate(goal) if goal is not None else (None, [])
-    best, best_size = state, sum(sizes[i] for i in bits(state))
-    parent: dict[int, tuple[int, int] | None] = {state: None}
-    state_size = {state: best_size}
-    queue = [state]
-    head = 0
-    while head < len(queue) and goal_state not in parent:
-        state = queue[head]
-        head += 1
-        size = state_size[state]
-        for i in range(len(classes)):
-            bit = 1 << i
-            if state & bit:
-                nsize = size - sizes[i]
-                if nsize < floor:
-                    continue
-                nxt = state ^ bit
-            else:
-                if qadj[i] & state:
-                    continue
-                nxt = state | bit
-                nsize = size + sizes[i]
-            if nxt in parent:
-                continue
-            parent[nxt] = (state, i)
-            state_size[nxt] = nsize
-            queue.append(nxt)
-            if nsize > best_size:
-                best, best_size = nxt, nsize
-
-    at = best if goal is None else goal_state
-    if at not in parent:
+    parent: dict[int, tuple[int, int] | None] = {}
+    states = _bfs(state, step, parent)
+    if goal is None:
+        at = end = max(states, key=int.bit_count)
+    elif any(goal_state in parent for _ in states):
+        at, end = goal_state, goal
+    else:
         return None
     hops: list[list[Move]] = []
     while parent[at] is not None:
-        prev, i = parent[at]
-        step = Move.add if at >> i & 1 else Move.remove
-        hops.append([step(v) for v in g._ids(classes[i])])
-        at = prev
+        at, c = parent[at]
+        move = Move.remove if at & c else Move.add
+        hops.append([move(v) for v in g._ids(c)])
     for hop in reversed(hops):
         moves.extend(hop)
-    rope = MoveRope.cat(MoveRope.leaf(moves), MoveRope.rev(MoveRope.leaf(goal_moves)))
-    if goal is not None:
-        return goal, rope
-    return sum(classes[i] for i in bits(best)), rope
+    return end, MoveRope.cat(MoveRope.leaf(moves), MoveRope.rev(MoveRope.leaf(goal_moves)))
 
 
 def shrink_module(g: Graph, seed, module, witness) -> Graph:

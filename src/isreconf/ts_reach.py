@@ -6,8 +6,9 @@ after the big-module rule every module meets each side at most once, each
 module shrinks to a single representative, and the residual question is a
 search over fixed-size independent sets of the quotient, with one extra
 vacancy condition per module that swapped tokens across its components.
-Decision only; the reductions rewrite the target set, so the quotient path
-is not a certificate for the input graph.
+That search runs on ``tar_engine._bfs``, the breadth-first core of the
+class-union search.  Decision only; the reductions rewrite the target set,
+so the quotient path is not a certificate for the input graph.
 
 The solver works on position masks over the root's child modules and
 component masks; the public lemma functions check and convert their
@@ -17,10 +18,12 @@ input, then run the same mask cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .decomposition import _drop, _fence, _module_mask, _root_child_masks
 from .errors import InputError
 from .graph import Graph, bits
+from .tar_engine import _bfs
 from .tar_reach import _pair_masks
 
 
@@ -106,29 +109,22 @@ def _aux_decide(h: Graph, smask: int, tmask: int, vacancies: int) -> bool:
     """``ts_aux_decide`` on masks; ``vacancies`` is the mask of representatives."""
     adj = h._adj
     live = h._vmask
-    unvacated = vacancies & smask   # representatives every set seen so far holds
-    seen = {smask}
-    queue = [smask]
-    head = 0
-    found = smask == tmask
-    while head < len(queue):
-        if found and not unvacated:
-            return True
-        state = queue[head]
-        head += 1
+
+    def slides(state: int) -> Iterator[tuple[int, tuple[int, int]]]:
+        """Slide a token from ``p`` to a free neighbour ``q`` that no other token sees."""
         for p in bits(state):
             rest = state & ~(1 << p)
             for q in bits(adj[p] & live & ~state):
-                if adj[q] & rest:
-                    continue
-                nxt = rest | (1 << q)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    unvacated &= nxt
-                    queue.append(nxt)
-                    if nxt == tmask:
-                        found = True
-    return found and not unvacated
+                if not adj[q] & rest:
+                    yield rest | (1 << q), (p, q)
+
+    parent: dict[int, tuple[int, tuple[int, int]] | None] = {}
+    unvacated = vacancies   # representatives every set yielded so far holds
+    for state in _bfs(smask, slides, parent):
+        unvacated &= state
+        if tmask in parent and not unvacated:
+            return True
+    return False
 
 
 def reach_ts(g: Graph, s, t) -> bool:

@@ -103,6 +103,20 @@ def test_move_json_round_trip():
             Move.from_json(bad)
 
 
+def test_move_json_errors_stay_short():
+    # each message shows a bounded repr of the malformed input, not all of it
+    nested = []
+    for _ in range(900):
+        nested = [nested]
+    long = "x" * 5000
+    for bad in (nested, {"op": long, "v": 1}, {"op": nested, "v": 1}, {"op": "add", "v": long},
+                {"op": "slide", "v": 1, "pad": long}, {"op": "jump", "u": nested, "v": 2},
+                {"op": "remove", "v": 1.5, **{str(i): i for i in range(5000)}}):
+        with pytest.raises(InputError) as err:
+            Move.from_json(bad)
+        assert len(str(err.value)) < 200
+
+
 def _random_walk(rng, g, start, rule, length):
     """Random legal move walk, built by direct enumeration."""
     current = set(start)

@@ -233,3 +233,23 @@ def test_engine_invariants_hold_on_deep_threshold_graphs():
         g, s, _ = threshold_sides(seed, 40)
         for res in lambda_all(g, s, check=True).values():
             check_result(g, res)
+
+
+def test_a_start_holding_every_vertex_builds_no_twin_partition(monkeypatch):
+    # such a start is a fully occupied edgeless graph, already the largest
+    # union, so the search returns it with no moves and no twin partition
+    calls = []
+    real = tar_engine._twin_masks
+    monkeypatch.setattr(tar_engine, "_twin_masks", lambda *args: calls.append(args) or real(*args))
+    single = Graph([7])
+    assert tar_engine._class_search(single, 1, single._vmask) == (single._vmask, tar_engine.EMPTY)
+    res = lambda_single(single, {7}, 1)
+    assert res.reached == {7} and res.sequence.moves == ()
+    g = edgeless_graph(3)
+    for floor in range(4):
+        reached, rope = tar_engine._class_search(g, floor, g._vmask, g._vmask)
+        assert reached == g._vmask and len(rope) == 0
+    assert calls == []
+    # a goal short of the start still runs the search
+    reached, rope = tar_engine._class_search(g, 1, g._vmask, g._mask({2}))
+    assert reached == g._mask({2}) and len(rope) == 2 and calls

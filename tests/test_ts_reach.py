@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isreconf import (Graph, InputError, Rule, TsReduction, oracle_reach,
                       reach_ts, ts_aux_decide, ts_big_module, ts_shrink)
 
-from helpers import (complete_graph, cycle_graph, join_all, path_graph,
+from helpers import (complete_graph, cycle_graph, graphs, join_all, path_graph,
                      random_graph, random_independent_set)
 
 
@@ -108,6 +110,27 @@ def test_aux_decide_vacancy_must_be_witnessed():
     assert ts_aux_decide(TsReduction(k2, frozenset({1}), frozenset({1}), (1,)))
     lonely = Graph([1])
     assert not ts_aux_decide(TsReduction(lonely, frozenset({1}), frozenset({1}), (1,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=7), st.integers(0, 2 ** 30), st.integers(0, 2 ** 7 - 1))
+def test_aux_decide_matches_brute_force_with_vacancies(g, seed, vacancy_bits):
+    from isreconf.oracle import _successors
+    rng = random.Random(seed)
+    s, t = (sorted(random_independent_set(rng, g)) for _ in range(2))
+    size = min(len(s), len(t))
+    s, t = frozenset(s[:size]), frozenset(t[:size])
+    vacancies = tuple(v for v in g.ids if vacancy_bits >> (v - 1) & 1)
+    seen = {g._mask(s)}
+    queue = [g._mask(s)]
+    for state in queue:
+        for nxt in _successors(Rule.ts(), g, state):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    expect = g._mask(t) in seen and all(any(not state & g._mask({v}) for state in seen)
+                                        for v in vacancies)
+    assert ts_aux_decide(TsReduction(g, s, t, vacancies)) == expect
 
 
 def test_reach_ts_matches_oracle_randomized():
