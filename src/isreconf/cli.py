@@ -70,31 +70,19 @@ def _parse_profile(text: str) -> GenProfile:
     return GenProfile(n=n, width=width, rule=rule)
 
 
-def _tree_text(tree: MDNode, indent: int | None) -> str:
-    """The tree as ``json.dumps`` writes it one level into an object, from an
-    explicit stack: ``json.dumps`` nests two calls per decomposition level."""
-    def pad(level: int) -> str:
-        return "" if indent is None else "\n" + " " * (indent * level)
-
-    comma = ", " if indent is None else ","
-    out = []
-    todo: list = [(tree, 2)]   # a node with the indent level of its keys, or text
-    while todo:
-        node, level = todo.pop()
-        if isinstance(node, str):
-            out.append(node)
-            continue
-        head = f'{{{pad(level)}"kind": "{node.kind}"{comma}{pad(level)}'
-        tail = pad(level - 1) + "}"
+def _tree_rows(tree: MDNode) -> list[dict]:
+    """The tree as a flat list in breadth-first order, row 0 the root: an inner
+    node lists its children's row indices, so no row nests inside another."""
+    rows = []
+    queue = [tree]
+    for node in queue:              # the loop reaches the children appended below
         if node.kind == "leaf":
-            out.append(f'{head}"v": {node.vertex}{tail}')
-            continue
-        out.append(f'{head}"children": [{pad(level + 1)}')
-        todo.append((f"{pad(level)}]{tail}", 0))
-        # the children, last one pushed first, with a separator between each two
-        sep = (comma + pad(level + 1), 0)
-        todo += [x for c in reversed(node.children) for x in (sep, (c, level + 2))][1:]
-    return "".join(out)
+            rows.append({"kind": "leaf", "v": node.vertex})
+        else:
+            rows.append({"kind": node.kind,
+                         "children": list(range(len(queue), len(queue) + len(node.children)))})
+            queue += node.children
+    return rows
 
 
 def _sequence_json(seq: ReconfSequence) -> list[dict]:
@@ -114,7 +102,6 @@ def _run_stats(g: Graph, started: float, skip_width: bool = False) -> dict:
 def cmd_decompose(args) -> int:
     g = _load_graph(args)
     started = time.perf_counter()
-    tree = md_tree(g)
     classes = nd_partition(g)
     out = {
         "answer": "ok",
@@ -123,12 +110,10 @@ def cmd_decompose(args) -> int:
         "width": modular_width(g),
         "nd": len(classes),
         "classes": [{"kind": c.kind, "members": sorted(c.members)} for c in classes],
-        "tree": None,
+        "tree": _tree_rows(md_tree(g)),
         "stats": _run_stats(g, started),
     }
-    indent = None if args.json else 2  # the tree is spliced in as text, written without recursion
-    print(json.dumps(out, indent=indent).replace(
-        '"tree": null', '"tree": ' + _tree_text(tree, indent), 1))
+    _emit(out, args.json)
     return 0
 
 

@@ -15,7 +15,7 @@ operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import stats
@@ -25,18 +25,31 @@ from .graph import Graph, bits
 
 @dataclass(frozen=True, repr=False)
 class MDNode:
-    """One node of a modular decomposition tree."""
+    """One node of a modular decomposition tree.
+
+    The module is a position mask over the root graph's shared ID tuple, so
+    a tree of depth d over n vertices holds O(n) IDs, not O(n·d).  Neither
+    field is compared: the children and a leaf's vertex decide the span.  A
+    node holds no ``Graph``, as the graph's memo holds the tree.
+    """
 
     kind: str                      # "leaf" | "parallel" | "series" | "prime"
-    span: frozenset[int]
+    mask: int = field(compare=False)
+    uid: tuple[int, ...] = field(compare=False)   # root position -> vertex ID
     children: tuple["MDNode", ...] = ()
     vertex: int | None = None      # set for leaves only
 
+    @property
+    def span(self) -> frozenset[int]:
+        """The module's vertex IDs, built on each read."""
+        uid = self.uid
+        return frozenset(uid[p] for p in bits(self.mask))
+
     def leaf_count(self) -> int:
-        return len(self.span)
+        return self.mask.bit_count()
 
     def __repr__(self) -> str:
-        return f"MDNode({self.kind}, {len(self.span)} vertices, {len(self.children)} children)"
+        return f"MDNode({self.kind}, {self.leaf_count()} vertices, {len(self.children)} children)"
 
 
 @dataclass(frozen=True)
@@ -217,8 +230,8 @@ def md_tree(g: Graph) -> MDNode:
     """Modular decomposition tree of a nonempty graph."""
     if g.n == 0:
         raise InputError("modular decomposition needs a nonempty graph")
-    return _fold(g, "mdtree", lambda h: MDNode("leaf", h.vertices, vertex=h.ids[0]),
-                 lambda h, kind, masks, kids: MDNode(kind, h.vertices, tuple(kids)))
+    return _fold(g, "mdtree", lambda h: MDNode("leaf", h._vmask, h._uid, vertex=h.ids[0]),
+                 lambda h, kind, masks, kids: MDNode(kind, h._vmask, h._uid, tuple(kids)))
 
 
 def top_partition(g: Graph) -> list[frozenset[int]]:

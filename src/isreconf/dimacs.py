@@ -161,15 +161,14 @@ def build_instance(g: Graph, sidecar: dict, rule_flag: str | None = None,
     kind = rule_flag or sidecar.get("rule")
     if kind not in (TAR, TJ, TS):
         raise InputError(f"rule must be one of tar, tj, ts (got {kind!r})")
-    k = k_flag if k_flag is not None else sidecar.get("k")
-    if kind == TAR:
-        if k is None:
-            raise InputError("rule tar requires a threshold k")
-        if type(k) is not int:
-            raise InputError(f"threshold k must be an integer (got {k!r})")
-        rule = Rule.tar(k)
-    else:
-        rule = Rule(kind)
+    # a sidecar's k is dropped when --rule overrides its rule to tj or ts, but
+    # an explicit --k there reaches Rule, which rejects it
+    k = sidecar.get("k") if k_flag is None and kind == TAR else k_flag
+    if kind == TAR and k is None:
+        raise InputError("rule tar requires a threshold k")
+    if k is not None and type(k) is not int:
+        raise InputError(f"threshold k must be an integer (got {k!r})")
+    rule = Rule(kind, k)
     sides = [sidecar.get(name) for name in ("start", "target")]
     if any(type(side) is not list or any(type(v) is not int for v in side) for side in sides):
         raise InputError("sidecar must carry integer arrays 'start' and 'target'")

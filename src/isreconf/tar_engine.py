@@ -344,11 +344,11 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
         # neighbor in any live part.  Each slice is an edgeless module of h,
         # so one member's row decides the whole slice, and the free slices
         # are the blocks of the f0 view's twin partition, memoised here for
-        # the class search.
+        # the class search.  A pool full of tokens has nothing to improve.
         free = [s for s in st.slices if not st.h._adj[s.bit_length() - 1] & st.live]
-        if free:
-            f0 = sum(free)
-            rf0 = st.r & f0
+        f0 = sum(free)
+        rf0 = st.r & f0
+        if rf0 != f0:
             floor0 = k - (st.r & ~f0).bit_count()
             view = st.h._derive(f0)
             _twin_masks(view, free)

@@ -181,6 +181,21 @@ def test_solve_ts(tmp_path, capsys):
     assert code == 2
 
 
+def test_k_flag_under_tj_or_ts_is_input_error(tmp_path, capsys):
+    # --rule overrides the sidecar's tar and drops its k; an explicit --k has no meaning there
+    gpath = write_instance(tmp_path, path_graph([1, 2, 3]),
+                           {"rule": "tar", "k": 1, "start": [1], "target": [3]})
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text("[]")
+    for rule in ("tj", "ts"):
+        code, out, _ = run(capsys, "solve", gpath, "--rule", rule, "--json")
+        assert code == 0 and json.loads(out)["answer"] == "yes"
+        for argv in (["solve"], ["verify", "--sequence", str(seq_path)]):
+            code, out, err = run(capsys, argv[0], gpath, *argv[1:], "--rule", rule, "--k", "1")
+            assert (code, out) == (2, "")
+            assert "threshold" in json.loads(err)["error"]
+
+
 def test_tar_threshold_above_sizes_is_input_error(tmp_path, capsys):
     gpath = write_instance(tmp_path, path_graph([1, 2, 3]),
                            {"rule": "tar", "k": 2, "start": [1], "target": [3]})
@@ -211,7 +226,7 @@ def test_alpha_and_decompose(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["width"] == 2 and payload["nd"] == 2
-    assert payload["tree"]["kind"] == "series"
+    assert payload["tree"][0]["kind"] == "series"
 
 
 def test_empty_graph_has_no_width(tmp_path, capsys):

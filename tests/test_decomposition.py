@@ -1,16 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isreconf import (GenProfile, Graph, InputError, brute_modular_width, gen_instance,
+from isreconf import (GenProfile, Graph, InputError, alpha, brute_modular_width, gen_instance,
                       is_module, md_tree, modular_width, nd_partition, top_partition)
 from isreconf.decomposition import _clique_class, _min_module, _twin_masks
 from isreconf.graph import bits
 
 from helpers import (complete_graph, cycle_graph, edgeless_graph, graphs,
-                     path_graph, random_graph)
+                     path_graph, random_graph, threshold_graph)
 
 
 def c4():
@@ -93,6 +94,21 @@ def test_module_folded_before_its_parent():
     assert (tree, width) == (md_tree(fresh), modular_width(fresh))
     fresh_part = fresh._derive(part._vmask)
     assert (part_tree, part_width) == (md_tree(fresh_part), modular_width(fresh_part))
+
+
+def test_a_deep_tree_holds_no_vertex_set_per_node():
+    # each node keeps a mask over the root's ID tuple, so this tree, about 300
+    # levels deep, holds O(n) IDs; a frozenset per node would hold O(n^2)
+    g = threshold_graph(0, 600)
+    alpha(g)                      # memoises the splits, so only the tree is measured
+    tracemalloc.start()
+    try:
+        tree = md_tree(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.leaf_count() == 600 and len(tree.span) == 600
+    assert peak < 1 << 20
 
 
 def test_nd_partition_examples():

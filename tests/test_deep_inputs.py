@@ -109,11 +109,20 @@ def decompose(g, *flags):
     return out.getvalue()
 
 
+def from_one(g):
+    """g with its IDs shifted up by one, as DIMACS numbers vertices from 1."""
+    return Graph([v + 1 for v in g.ids], [(u + 1, v + 1) for u, v in g.edges()])
+
+
 def decompose_digest(g, s, t):
-    # DIMACS numbers vertices from 1
-    g = Graph([v + 1 for v in g.ids], [(u + 1, v + 1) for u, v in g.edges()])
-    text = decompose(g, "--json").split(', "stats"')[0]  # the stats hold a timing
+    text = decompose(from_one(g), "--json").split(', "stats"')[0]  # the stats hold a timing
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def decompose_rows(g, s, t):
+    """Leaf rows and root kind of the tree, read back with ``json.loads`` under the same limit."""
+    rows = json.loads(decompose(from_one(g), "--json"))["tree"]
+    return sum(row["kind"] == "leaf" for row in rows), rows[0]["kind"]
 
 
 CASES = {  # name: (input, call, result)
@@ -127,7 +136,8 @@ CASES = {  # name: (input, call, result)
     "reach_nd": (matching, lambda g, s, t: answer(reach_nd(g, 1, s, t)), (True, 478)),
     "reach_ts": (threshold300, lambda g, s, t: reach_ts(g, s, t), True),
     "decompose": (threshold300, decompose_digest,
-                  "1fc01a9db5f23f90c8975c0f4780640ddb0bb4001ce711f6fcd2f92adeea4a54"),
+                  "c5e60450117da2fffaeb525bbff924ac05f407efae8a0c3a102fee86cb829630"),
+    "decompose_rows": (threshold300, decompose_rows, (300, "series")),
     "wide_path": (lambda: wide_prime(1000), width_parts_alpha, (1000, {1: 1000}, 500)),
     "wide_cycle": (lambda: wide_prime(1000, cycle=True), width_parts_alpha, (1000, {1: 1000}, 500)),
     "wide_twin_path": (lambda: wide_prime(500, twins=2), width_parts_alpha, (500, {2: 500}, 500)),
@@ -159,10 +169,18 @@ def test_deep_input_leaves_the_recursion_limit_alone(name):
 
 
 def tree_json(node):
-    """The nested object that ``decompose`` used to hand to ``json.dumps``."""
+    """The tree as one nested object, leaves as ``decompose`` writes their rows."""
     if node.kind == "leaf":
         return {"kind": "leaf", "v": node.vertex}
     return {"kind": node.kind, "children": [tree_json(c) for c in node.children]}
+
+
+def nested(rows, i=0):
+    """The nested object that row ``i`` of ``decompose``'s flat tree roots."""
+    row = rows[i]
+    if row["kind"] == "leaf":
+        return row
+    return {"kind": row["kind"], "children": [nested(rows, j) for j in row["children"]]}
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,5 +189,8 @@ def test_decompose_output_equals_json_dumps_of_the_nested_tree(g):
     for flags, indent in ((["--json"], None), ([], 2)):
         text = decompose(g, *flags)
         obj = json.loads(text)
-        assert obj["tree"] == tree_json(md_tree(g))
+        rows = obj["tree"]
+        assert nested(rows) == tree_json(md_tree(g))
+        # breadth-first: the child lists, read in row order, number rows 1, 2, ...
+        assert sum((row.get("children", []) for row in rows), []) == list(range(1, len(rows)))
         assert text == json.dumps(obj, indent=indent) + "\n"

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,8 +7,8 @@ from isreconf import (GenProfile, Graph, InputError, alpha, decomposition, gen_i
                       lambda_all, lambda_nd, lambda_single, lambda_step, oracle_lambda,
                       reach_tar, shrink_module, tar_engine, verify_sequence)
 
-from helpers import (cycle_graph, edgeless_graph, join_all, path_graph,
-                     random_graph, random_independent_set, star_graph, threshold_sides)
+from helpers import (cycle_graph, edgeless_graph, join_all, path_graph, random_graph,
+                     random_independent_set, star_graph, threshold_graph, threshold_sides)
 
 
 def check_result(g, res, expect_size=None):
@@ -253,3 +254,22 @@ def test_a_start_holding_every_vertex_builds_no_twin_partition(monkeypatch):
     # a goal short of the start still runs the search
     reached, rope = tar_engine._class_search(g, 1, g._vmask, g._mask({2}))
     assert reached == g._mask({2}) and len(rope) == 2 and calls
+
+
+def test_rule_2a_skips_a_pool_full_of_tokens(monkeypatch):
+    # a pool whose every vertex holds a token has no larger union to reach,
+    # so Rule 2a derives no view and runs no class search on it; on this
+    # input most pools are full.  Rule 2a is the rule loop's only search.
+    full = []
+    real = tar_engine._class_search
+
+    def counted(g, floor, start, goal=None):
+        if sys._getframe(1).f_code is tar_engine._lambda_step_raw.__code__:
+            full.append(start == g._vmask)
+        return real(g, floor, start, goal)
+
+    monkeypatch.setattr(tar_engine, "_class_search", counted)
+    g = threshold_graph(0, 40)
+    for res in lambda_all(g, alpha(g).witness).values():
+        check_result(g, res)
+    assert full and not any(full)
