@@ -11,31 +11,37 @@ algorithm, and easy to validate against brute force: each part the
 refinement pops costs one pass over its members' rows, and a part is popped
 once per cut above it, so a prime node of order n costs at most O(n^2) row
 operations.
+
+Degenerate levels are split from degree buckets, which each child module
+keeps under its own offset, as its members share their outside neighbours.
+A level peels its isolated (or universal) vertices, and the rest is one
+component (co-component) when a member of it sees all (none) of it: O(vertices
+peeled) big-int operations, not a flood of one row per vertex of the level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import stats
 from .errors import InputError, InternalError
-from .graph import Graph, bits
+from .graph import Graph, _flood, bits
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class MDNode:
     """One node of a modular decomposition tree.
 
     The module is a position mask over the root graph's shared ID tuple, so
-    a tree of depth d over n vertices holds O(n) IDs, not O(n·d).  Neither
-    field is compared: the children and a leaf's vertex decide the span.  A
-    node holds no ``Graph``, as the graph's memo holds the tree.
+    a tree of depth d over n vertices holds O(n) IDs, not O(n·d).  Equality
+    and hashing read the kind, children and leaf vertex, walking the tree
+    without recursion.  A node holds no ``Graph``.
     """
 
     kind: str                      # "leaf" | "parallel" | "series" | "prime"
-    mask: int = field(compare=False)
-    uid: tuple[int, ...] = field(compare=False)   # root position -> vertex ID
+    mask: int
+    uid: tuple[int, ...]           # root position -> vertex ID
     children: tuple["MDNode", ...] = ()
     vertex: int | None = None      # set for leaves only
 
@@ -47,6 +53,19 @@ class MDNode:
 
     def leaf_count(self) -> int:
         return self.mask.bit_count()
+
+    def _shape(self) -> tuple:
+        """Kind, vertex and child count of each node, breadth-first: equal iff the trees are."""
+        order = [self]
+        for node in order:
+            order += node.children
+        return tuple((node.kind, node.vertex, len(node.children)) for node in order)
+
+    def __eq__(self, other) -> bool:
+        return self._shape() == other._shape() if other.__class__ is MDNode else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._shape())
 
     def __repr__(self) -> str:
         return f"MDNode({self.kind}, {self.leaf_count()} vertices, {len(self.children)} children)"
@@ -178,17 +197,41 @@ def _root_child_masks(g: Graph) -> tuple[str, list[int]]:
     cached = g._memo.get("root")
     if cached is not None:
         return cached
-    comps = g._component_masks()
-    if len(comps) > 1:
+    live, adj = g._vmask, g._adj
+    buckets, off = g._memo.pop("deg", None) or _degree_buckets(g)
+    iso = buckets.get(off, 0) & live
+    uni = 0 if iso else buckets.get(off + g.n - 1, 0) & live
+    if iso or uni:
+        rest = live & ~(iso | uni)
+        whole = off + (rest.bit_count() - 1 if iso else uni.bit_count())
+        parts = list(map((1).__lshift__, bits(iso | uni)))
+        if rest and buckets.get(whole, 0) & rest:     # one (co-)component, by lowest member
+            parts.insert(((iso | uni) & ((rest & -rest) - 1)).bit_count(), rest)
+        elif rest:
+            parts = sorted(parts + _flood(adj, rest, co=not iso), key=lambda m: m & -m)
+        result = ("parallel" if iso else "series", parts)
+    elif len(comps := _flood(adj, live)) > 1:
         result = ("parallel", comps)
+    elif len(cocomps := _flood(adj, live, co=True)) > 1:
+        result = ("series", cocomps)
     else:
-        cocomps = g._co_component_masks()
-        if len(cocomps) > 1:
-            result = ("series", cocomps)
-        else:
-            result = ("prime", _prime_child_masks(g))
+        result = ("prime", _prime_child_masks(g))
+    for c in result[1]:
+        if c & (c - 1):
+            seen = (adj[(c & -c).bit_length() - 1] & (live ^ c)).bit_count()  # same for all of c
+            g._derive(c)._memo.setdefault("deg", (buckets, off + seen))
     g._memo["root"] = result
     return result
+
+
+def _degree_buckets(g: Graph) -> tuple[dict[int, int], int]:
+    """Key -> mask of the live vertices whose degree is the key minus the offset, and offset 0."""
+    buckets: dict[int, int] = {}
+    live, adj = g._vmask, g._adj
+    for p in bits(live):
+        d = (adj[p] & live).bit_count()
+        buckets[d] = buckets.get(d, 0) | 1 << p
+    return buckets, 0
 
 
 def quotient_adjacency(g: Graph, masks: list[int]) -> list[int]:

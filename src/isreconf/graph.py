@@ -39,6 +39,29 @@ def _sparse_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _flood(adj: list[int], todo: int, co: bool = False) -> list[int]:
+    """Components of the subgraph on the position mask ``todo``, lowest member first;
+    with ``co``, of its complement, grown by the vertices missing a frontier member."""
+    out = []
+    while todo:
+        comp = frontier = todo & -todo
+        while frontier:
+            if co:
+                grown = -1
+                for p in bits(frontier):
+                    grown &= adj[p]
+                grown = ~grown
+            else:
+                grown = 0
+                for p in bits(frontier):
+                    grown |= adj[p]
+            frontier = grown & todo & ~comp
+            comp |= frontier
+        out.append(comp)
+        todo &= ~comp
+    return out
+
+
 class Graph:
     """Undirected simple graph; no loops, no multi-edges, no weights."""
 
@@ -182,45 +205,7 @@ class Graph:
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by smallest member ID."""
-        return [self._idset(c) for c in self._component_masks()]
-
-    def _component_masks(self) -> list[int]:
-        """Connected components as position masks, ordered by lowest member."""
-        out = []
-        adj = self._adj
-        todo = self._vmask
-        while todo:
-            comp = frontier = todo & -todo
-            while frontier:
-                grown = 0
-                for p in bits(frontier):
-                    grown |= adj[p]
-                frontier = grown & todo & ~comp
-                comp |= frontier
-            out.append(comp)
-            todo &= ~comp
-        return out
-
-    def _co_component_masks(self) -> list[int]:
-        """Components of the complement graph, as position masks.
-
-        The frontier grows by every vertex that misses some frontier member,
-        the complement of the AND of the frontier's rows.
-        """
-        out = []
-        adj = self._adj
-        todo = self._vmask
-        while todo:
-            comp = frontier = todo & -todo
-            while frontier:
-                sees_all = -1
-                for p in bits(frontier):
-                    sees_all &= adj[p]
-                frontier = todo & ~sees_all & ~comp
-                comp |= frontier
-            out.append(comp)
-            todo &= ~comp
-        return out
+        return [self._idset(c) for c in _flood(self._adj, self._vmask)]
 
     # -- value semantics -------------------------------------------------------
 

@@ -22,7 +22,7 @@ from typing import Iterator
 
 from .decomposition import _drop, _fence, _module_mask, _root_child_masks
 from .errors import InputError
-from .graph import Graph, bits
+from .graph import Graph, _flood, bits
 from .tar_engine import _bfs
 from .tar_reach import _pair_masks
 
@@ -85,7 +85,7 @@ def _shrink(g: Graph, s: int, t: int, module: int) -> tuple[Graph, int, bool]:
     a, b = s & module, t & module
     used_vacancy = False
     if a and b and a != b:
-        comp = next(c for c in g._derive(module)._component_masks() if c & a)
+        comp = next(c for c in _flood(g._adj, module) if c & a)
         used_vacancy = not comp & b
         t ^= a | b
     keep = module & (s | t) or module

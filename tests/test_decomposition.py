@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isreconf import (GenProfile, Graph, InputError, alpha, brute_modular_width, gen_instance,
-                      is_module, md_tree, modular_width, nd_partition, top_partition)
-from isreconf.decomposition import _clique_class, _min_module, _twin_masks
-from isreconf.graph import bits
+                      is_module, md_tree, modular_width, nd_partition, reach_tar, top_partition)
+from isreconf import decomposition
+from isreconf.decomposition import (_clique_class, _degree_buckets, _min_module, _prime_child_masks,
+                                    _root_child_masks, _twin_masks)
+from isreconf.graph import _flood, bits
 
 from helpers import (complete_graph, cycle_graph, edgeless_graph, graphs,
-                     path_graph, random_graph, threshold_graph)
+                     path_graph, random_graph, threshold_graph, threshold_sides)
 
 
 def c4():
@@ -188,7 +190,7 @@ def test_module_kernel_matches_definitions(case):
         assert h._idset(_min_module(h, h._mask(s))) == smallest
     complement = Graph(vs, [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
                             if v not in nbrs[u]])
-    assert [h._idset(m) for m in h._co_component_masks()] == complement.components()
+    assert [h._idset(m) for m in _flood(h._adj, h._vmask, co=True)] == complement.components()
 
 
 @settings(max_examples=80, deadline=None)
@@ -341,3 +343,94 @@ def test_top_partition_of_paths_and_cycles(n):
     for g in [path_graph(range(1, n + 1))] + [cycle_graph(range(1, n + 1))] * (n >= 5):
         assert top_partition(g) == [frozenset({v}) for v in range(1, n + 1)]
         assert set(top_partition(g)) == maximal_modules(g)
+
+
+def plain_split(h):
+    """The root split by flood, then co-flood, then the prime split."""
+    for kind, co in (("parallel", False), ("series", True)):
+        parts = _flood(h._adj, h._vmask, co)
+        if len(parts) > 1:
+            return kind, parts
+    return "prime", _prime_child_masks(h)
+
+
+def check_peeled_splits(g, calls=()):
+    """Every module subgraph of g splits as ``plain_split`` does, and every
+    degree key it holds, from scratch or inherited, is its degree plus the offset.
+
+    ``calls`` is a list that records ``(co, todo)`` per flood; returns
+    ``(co, whole module?)`` of the floods the splits ran.
+    """
+    floods = set()
+    todo = [(g, _degree_buckets(g))] if g.n > 1 else []
+    while todo:
+        h, (buckets, off) = todo.pop()
+        live = h._vmask
+        for p in bits(live):
+            keys = [k for k, m in buckets.items() if m >> p & 1]
+            assert len(keys) == 1 and (h._adj[p] & live).bit_count() == keys[0] - off
+        before = len(calls)
+        assert _root_child_masks(h) == plain_split(h)
+        floods.update((co, mask == live) for co, mask in calls[before:])
+        kids = [h._derive(c) for c in _root_child_masks(h)[1] if c & (c - 1)]
+        todo += [(c, c._memo["deg"]) for c in kids]
+    return floods
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_or_view())
+def test_peeled_split_matches_the_plain_split(case):
+    check_peeled_splits(case[0])
+
+
+def random_cograph(rng, ids, parallel=True):
+    """Edges of a cograph on ``ids`` whose levels alternate parallel and series.
+
+    A level's children are runs of the shuffled IDs.  About a third of the
+    levels on four or more IDs have two children of two or more vertices,
+    so no isolated or universal vertex.
+    """
+    if len(ids) < 2:
+        return []
+    ids = rng.sample(ids, len(ids))
+    if len(ids) >= 4 and rng.random() < 0.33:
+        cuts = [rng.randint(2, len(ids) - 2)]
+    else:
+        cuts = sorted(rng.sample(range(1, len(ids)), rng.randint(1, min(3, len(ids) - 1))))
+    groups = [ids[a:b] for a, b in zip([0] + cuts, cuts + [len(ids)])]
+    edges = [e for grp in groups for e in random_cograph(rng, grp, not parallel)]
+    if not parallel:
+        edges += [(u, v) for i, a in enumerate(groups) for b in groups[i + 1:]
+                  for u in a for v in b]
+    return edges
+
+
+def test_peeled_split_on_cographs_and_threshold_graphs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(decomposition, "_flood", lambda adj, todo, co=False:
+                        calls.append((co, todo)) or _flood(adj, todo, co))
+    graphs = [threshold_graph(seed, n) for seed in range(20) for n in (2, 7, 40)]
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        graphs.append(Graph(range(n), random_cograph(rng, list(range(n)), rng.random() < 0.5)))
+    floods = set()
+    for g in graphs:
+        floods |= check_peeled_splits(g, calls)
+        assert modular_width(g) == 2
+    # both rests were flooded, and so were whole levels with no isolated or
+    # universal vertex (where a connected one is co-flooded too)
+    assert floods == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_threshold_graphs_split_without_a_flood(monkeypatch):
+    # each level of a threshold graph peels its isolated or universal
+    # vertices, and the rest has a member that sees all or none of it
+    calls = []
+    monkeypatch.setattr(decomposition, "_flood",
+                        lambda adj, todo, co=False: calls.append(co) or _flood(adj, todo, co))
+    assert md_tree(threshold_graph(0, 600)).leaf_count() == 600
+    assert alpha(threshold_graph(0, 600)).size > 0
+    g, s, t = threshold_sides(0, 600)
+    assert reach_tar(g, len(s) // 2, s, t).reachable
+    assert calls == []

@@ -90,6 +90,12 @@ def tree(g, s, t):
     return root.leaf_count(), repr(root)
 
 
+def same_tree(g, s, t):
+    """Trees built apart compare and hash equal; the tree without one vertex differs."""
+    a, b = md_tree(g), md_tree(Graph(g.ids, g.edges()))
+    return a is not b, a == b, hash(a) == hash(b), a == md_tree(g.delete_vertices([g.ids[0]]))
+
+
 def table(g, s, t):
     out = lambda_all(g, s)
     return sorted({r.size for r in out.values()}), sum(len(r.sequence.moves) for r in out.values())
@@ -127,6 +133,7 @@ def decompose_rows(g, s, t):
 
 CASES = {  # name: (input, call, result)
     "md_tree": (threshold300, tree, (300, "MDNode(series, 300 vertices, 3 children)")),
+    "md_tree_eq_hash": (threshold300, same_tree, (True, True, True, False)),
     "modular_width": (threshold300, lambda g, s, t: modular_width(g), 2),
     "alpha": (threshold300, lambda g, s, t: alpha(g).size, 155),
     "lambda_single": (threshold300, lambda g, s, t: lambda_single(g, s, len(s) // 2).size, 155),
