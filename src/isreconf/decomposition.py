@@ -22,7 +22,7 @@ peeled) big-int operations, not a flood of one row per vertex of the level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Generator, Iterable
 
 from . import stats
 from .errors import InputError, InternalError
@@ -246,6 +246,23 @@ def quotient_adjacency(g: Graph, masks: list[int]) -> list[int]:
     return qadj
 
 
+def _run(gen: Generator):
+    """Return the outer generator's value, where a generator calls another
+    by ``value = yield child``: a recursion of any depth nests no frames.
+    An exception leaves unchanged, and the suspended callers are dropped."""
+    stack = [gen]
+    value = None
+    while True:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+
+
 def _fold(g: Graph, key: str, leaf: Callable, node: Callable):
     """A value folded children first over g's decomposition tree, memoised under ``key``.
 
@@ -256,17 +273,18 @@ def _fold(g: Graph, key: str, leaf: Callable, node: Callable):
     """
     if g.n <= 1:
         return leaf(g)
-    order = []
-    todo = [g] if key not in g._memo else []
-    while todo:
-        h = todo.pop()
-        kids = [h._derive(m) for m in _root_child_masks(h)[1]]
-        order.append((h, kids))
-        todo.extend(c for c in kids if c.n > 1 and key not in c._memo)
-    for h, kids in reversed(order):
-        h._memo[key] = node(h, *_root_child_masks(h),
-                            [c._memo[key] if c.n > 1 else leaf(c) for c in kids])
-    return g._memo[key]
+    return g._memo[key] if key in g._memo else _run(_fold_at(g, key, leaf, node))
+
+
+def _fold_at(h: Graph, key: str, leaf: Callable, node: Callable) -> Generator:
+    """``_fold`` at a module subgraph whose memo lacks ``key``, as a recursion on ``_run``."""
+    kind, masks = _root_child_masks(h)
+    values = []
+    for c in map(h._derive, masks):
+        values.append(leaf(c) if c.n <= 1 else c._memo[key] if key in c._memo
+                      else (yield _fold_at(c, key, leaf, node)))
+    h._memo[key] = value = node(h, kind, masks, values)
+    return value
 
 
 def md_tree(g: Graph) -> MDNode:

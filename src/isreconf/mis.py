@@ -62,7 +62,8 @@ def _heaviest(cand: int, qadj: list[int], sizes: list[int], memo: dict) -> tuple
 
     Branches on the highest child: take it (and drop its neighbours) or,
     when it has a neighbour left, leave it.  The branches are solved on an
-    explicit stack, so a long chain of decisions needs no recursion.
+    explicit stack, so a long chain of decisions needs no recursion; not on
+    ``decomposition._run``, as a generator per subproblem is slower here.
     """
     if cand in memo:
         return memo[cand]

@@ -8,9 +8,10 @@ usually probes only a handful of them.
 
 Below the public functions everything works on position masks: a table
 maps a threshold to ``(reached mask, rope)``, and vertex-ID sets are built
-only where a public function returns.  The rule loop is a generator that
-yields each table entry it reads, so the tables of a decomposition are
-filled from one explicit stack rather than by calls nested per level.
+only where a public function returns.  The rule loop is a generator
+recursion on ``decomposition._run``, the one trampoline: it reads a table
+entry by yielding the table's reader for that threshold, so the tables of
+a decomposition are filled without nesting calls per level.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence, T
 
 from . import stats
 from .decomposition import (_clique_class, _drop, _is_module_mask, _module_mask,
-                            _root_child_masks, _twin_masks)
+                            _root_child_masks, _run, _twin_masks)
 from .errors import InputError, InternalError
 from .graph import Graph
 from .mis import _alpha_mask
@@ -257,13 +258,9 @@ class EngineState:
                 raise InternalError("per-module sequence does not end at its slice")
 
 
-Table = Callable[[int], tuple[int, MoveRope]]
-Steps = Generator[tuple[Table, int], tuple[int, MoveRope], tuple[int, MoveRope]]
-
-
 def _entry(g: Graph, table: Mapping[int, LambdaResult], i: int, pm: int,
-           j: int) -> tuple[int, MoveRope]:
-    """A caller's table for part ``i`` (mask ``pm``) read as a ``Table``, entry checked."""
+           j: int) -> Generator[None, None, tuple[int, MoveRope]]:
+    """A caller's table for part ``i`` (mask ``pm``) read at ``j`` like a solver's, entry checked."""
     try:
         e = table[j]
     except (LookupError, TypeError):  # TypeError: no table for a part meeting the seed
@@ -274,33 +271,16 @@ def _entry(g: Graph, table: Mapping[int, LambdaResult], i: int, pm: int,
     if rmask & ~pm:
         raise InputError(f"table entry for part {i} leaves the part")
     return rmask, e._rope
-
-
-def _run(steps: Steps) -> tuple[int, MoveRope]:
-    """Run a rule loop; the solver entries it reads that are not cached yet
-    are filled on an explicit stack of suspended rule loops."""
-    stack = [steps]
-    reply = None
-    while True:
-        try:
-            table, j = stack[-1].send(reply)
-        except StopIteration as done:
-            stack.pop()
-            if not stack:
-                return done.value
-            reply = done.value
-            continue
-        reply = table.cache.get(j) if isinstance(table, _Solver) else table(j)
-        if reply is None:
-            stack.append(table._fill(j))
+    yield  # a generator, so the rule loop reads it as it reads a solver's table
 
 
 def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
-                     tables: list[Table | None], alphas: list[tuple[int, int]],
-                     check: bool = False) -> Steps:
+                     tables: list[Callable | None], alphas: list[tuple[int, int]],
+                     check: bool = False) -> Generator:
     """The rule loop on a seed mask; ``alphas`` holds each part's alpha and witness mask.
 
-    It reads a table entry by yielding ``(table, threshold)`` to ``_run``.
+    ``tables[i](j)`` is a generator returning part ``i``'s entry at
+    threshold ``j``; the loop reads it by yielding it to ``_run``.
     """
     st = EngineState(g, k, seed, part_masks)
 
@@ -312,7 +292,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
         else:
             st.live |= pm
             st.thr[i] = (st.r & pm).bit_count()
-            rmask, rope = yield tables[i], st.thr[i]
+            rmask, rope = yield tables[i](st.thr[i])
             st.rope = MoveRope.cat(st.rope, rope)
             st.mod_ropes[i] = rope
             st.r = (st.r & ~pm) | rmask
@@ -382,7 +362,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
             else:
                 if j > st.thr[i]:
                     raise InternalError("requested threshold above the stored one")
-                rmask, rope = yield tables[i], j
+                rmask, rope = yield tables[i](j)
                 if rmask.bit_count() > cur:
                     delta = MoveRope.cat(MoveRope.rev(st.mod_ropes[i]), rope)
                     st.rope = MoveRope.cat(st.rope, delta)
@@ -404,15 +384,20 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
 class _Solver:
     """The table of ``g`` for a seed mask, each threshold solved on first request."""
 
+    __slots__ = ("g", "seed", "check", "cache", "parts")
+
     def __init__(self, g: Graph, seed: int, check: bool = False):
         self.g, self.seed, self.check = g, seed, check
         self.cache: dict[int, tuple[int, MoveRope]] = {}
         self.parts = False             # ``_root_tables``, built on first use
 
     def __call__(self, j: int) -> tuple[int, MoveRope]:
-        return self.cache.get(j) or _run(self._fill(j))
+        return _run(self.read(j))
 
-    def _fill(self, j: int) -> Steps:
+    def read(self, j: int) -> Generator:
+        """The entry at threshold ``j``: cached, or filled on the trampoline."""
+        if j in self.cache:
+            return self.cache[j]
         g, seed = self.g, self.seed
         if j == 0:
             _, w = _alpha_mask(g)
@@ -429,7 +414,7 @@ class _Solver:
 
 
 def _root_tables(g: Graph, seed: int, check: bool
-                 ) -> tuple[list[int], list[Table | None], list[tuple[int, int]]] | None:
+                 ) -> tuple[list[int], list[Callable | None], list[tuple[int, int]]] | None:
     """Root parts, their tables and alphas; None when the class search should run."""
     if g.n <= 2:
         return None
@@ -437,7 +422,7 @@ def _root_tables(g: Graph, seed: int, check: bool
     if all(pm.bit_count() == 1 for pm in part_masks):
         return None
     subs = [g._derive(pm) for pm in part_masks]
-    tables = [_Solver(sub, seed & pm, check) if seed & pm else None
+    tables = [_Solver(sub, seed & pm, check).read if seed & pm else None
               for sub, pm in zip(subs, part_masks)]
     return part_masks, tables, [_alpha_mask(sub) for sub in subs]
 

@@ -9,13 +9,16 @@ Every yes answer carries a replayable witness sequence.
 
 The solvers take and return position masks and call the engine and
 class-search cores directly; vertex-ID sets appear only in the public
-functions.
+functions.  The decision is a generator recursion on the one trampoline,
+``decomposition._run``, so no depth of decomposition nests Python frames.
 """
 
 from __future__ import annotations
 
+from typing import Generator
+
 from .decomposition import (_clique_class, _drop, _fence, _module_mask, _root_child_masks,
-                            _twin_masks)
+                            _run, _twin_masks)
 from .errors import InputError, InternalError
 from .graph import Graph
 from .mis import _alpha_mask, alpha
@@ -149,86 +152,78 @@ def _validated_pair(g: Graph, k: int, s, t) -> tuple[frozenset[int], int, int]:
 
 
 def _reach_tar(g: Graph, k: int, s: int, t: int, classes: bool = False) -> MoveRope | None:
-    """The TAR decision as a stack machine; ``classes`` runs ``reach_nd``'s twin-class mode.
+    """The TAR decision; ``classes`` runs ``reach_nd``'s twin-class mode."""
+    return _run(_tar(g, k, s, t, classes, {}))
 
-    A step fails, or appends its prefix rope and pushes ``rev(rt)`` under
-    the subproblems that suffix wraps.  Components are pushed in reverse
-    and check their token counts when popped, so checks and ``_drop``s
-    run in the order of a depth-first recursion.  The solvers the steps
-    ask for live in one dict for the call, keyed by vertex mask and seed:
-    the fence deletion leaves the vertex set that the vacating attempt
-    solved on, and the normalisation of its components reads that table.
+
+def _tar(g: Graph, k: int, s: int, t: int, classes: bool,
+         solvers: dict[tuple[int, int], _Solver]) -> Generator:
+    """The TAR decision as a recursion on ``_run``: a rope from ``s`` to ``t``, or None.
+
+    A module step fails or wraps a smaller instance's rope between its own
+    prefix and ``rev(rt)``.  Components are decided in order, each after a
+    check of its token counts.  The call's solvers share one dict, keyed by
+    vertex mask and seed: the normalisation after a fence deletion reads
+    the table that the vacating attempt filled on that vertex set.
     """
-    rope = EMPTY
-    solvers: dict[tuple[int, int], _Solver] = {}
-    todo: list = [(g, k, s, t, classes, False)]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, MoveRope):
-            rope = MoveRope.cat(rope, item)
-            continue
-        g, k, s, t, classes, part = item
-        if part and s.bit_count() != t.bit_count():
-            return None
-        if k <= 0:  # no effective floor: tear down one side and build the other
-            rope = MoveRope.cat(rope, MoveRope.cat(removes(g._ids(s & ~t)), adds(g._ids(t & ~s))))
-            continue
-        if s == t:
-            continue
+    if k <= 0:  # no effective floor: tear down one side and build the other
+        return MoveRope.cat(removes(g._ids(s & ~t)), adds(g._ids(t & ~s)))
+    if s == t:
+        return EMPTY
 
-        if classes:
-            pm = next((m for m in _twin_masks(g) if _clique_class(g, m)), None)
-            if pm is None:
-                out = _class_search(g, k, s, t)
-                if out is None:
-                    return None
-                rope = MoveRope.cat(rope, out[1])
-                continue
-        else:
-            kind, part_masks = _root_child_masks(g)
-            if kind == "parallel":
-                # normalized to largest reachable sets, components keep their token counts
-                s2, rs = _solver(solvers, g, s)(k)
-                t2, rt = _solver(solvers, g, t)(k)
-                size = s2.bit_count()
-                if size != t2.bit_count():
-                    return None
-                rope = MoveRope.cat(rope, rs)
-                todo.append(MoveRope.rev(rt))
-                todo.extend((g._derive(cm), k - (size - (s2 & cm).bit_count()), s2 & cm, t2 & cm,
-                             False, True) for cm in reversed(part_masks))
-                continue
-            pm = next((pm for pm in part_masks if not g._independent(pm)), None)
-            if pm is None:
-                todo.append((g, k, s, t, True, False))
-                continue
-
-        es = _empty_module_rope(g, s, pm, k, solvers)
-        et = _empty_module_rope(g, t, pm, k, solvers)
-        if (es is None) != (et is None):
-            return None
-        if es is not None:
-            # both sides vacate the module: shrink it to a maximum independent set
-            (s2, rs), (t2, rt) = es, et
-            dead = pm & (pm - 1) if classes else pm & ~_alpha_mask(g._derive(pm))[1]
-            rope = MoveRope.cat(rope, rs)
-            todo.append(MoveRope.rev(rt))
-        elif classes:
-            # neither side can vacate a clique: the single token inside is pinned
-            if s & pm != t & pm:
+    if classes:
+        pm = next((m for m in _twin_masks(g) if _clique_class(g, m)), None)
+        if pm is None:
+            out = _class_search(g, k, s, t)
+            return None if out is None else out[1]
+    else:
+        kind, part_masks = _root_child_masks(g)
+        if kind == "parallel":
+            # normalized to largest reachable sets, components keep their token counts
+            s2, rs = _solver(solvers, g, s)(k)
+            t2, rt = _solver(solvers, g, t)(k)
+            size = s2.bit_count()
+            if size != t2.bit_count():
                 return None
-            dead = pm | _fence(g, pm)
-            s2, t2 = s & ~pm, t & ~pm
-            k -= 1
-        else:
-            # neither side can vacate the module: its neighbourhood is unusable
-            dead = _fence(g, pm)
-            s2, t2 = s, t
-        g2 = _drop(g, dead)
-        if g2.n >= g.n:
-            raise InternalError("a module step failed to shrink the graph")
-        todo.append((g2, k, s2, t2, classes, False))
-    return rope
+            rope = rs
+            for cm in part_masks:
+                sc, tc = s2 & cm, t2 & cm
+                if sc.bit_count() != tc.bit_count():
+                    return None
+                sub = yield _tar(g._derive(cm), k - (size - sc.bit_count()), sc, tc, False, solvers)
+                if sub is None:
+                    return None
+                rope = MoveRope.cat(rope, sub)
+            return MoveRope.cat(rope, MoveRope.rev(rt))
+        pm = next((pm for pm in part_masks if not g._independent(pm)), None)
+        if pm is None:
+            return (yield _tar(g, k, s, t, True, solvers))
+
+    es = _empty_module_rope(g, s, pm, k, solvers)
+    et = _empty_module_rope(g, t, pm, k, solvers)
+    if (es is None) != (et is None):
+        return None
+    rs = rt = EMPTY
+    if es is not None:
+        # both sides vacate the module: shrink it to a maximum independent set
+        (s2, rs), (t2, rt) = es, et
+        dead = pm & (pm - 1) if classes else pm & ~_alpha_mask(g._derive(pm))[1]
+    elif classes:
+        # neither side can vacate a clique: the single token inside is pinned
+        if s & pm != t & pm:
+            return None
+        dead = pm | _fence(g, pm)
+        s2, t2 = s & ~pm, t & ~pm
+        k -= 1
+    else:
+        # neither side can vacate the module: its neighbourhood is unusable
+        dead = _fence(g, pm)
+        s2, t2 = s, t
+    g2 = _drop(g, dead)
+    if g2.n >= g.n:
+        raise InternalError("a module step failed to shrink the graph")
+    sub = yield _tar(g2, k, s2, t2, classes, solvers)
+    return None if sub is None else MoveRope.cat(MoveRope.cat(rs, sub), MoveRope.rev(rt))
 
 
 def reach_tar(g: Graph, k: int, s, t) -> ReachAnswer:

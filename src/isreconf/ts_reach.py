@@ -12,15 +12,17 @@ so the quotient path is not a certificate for the input graph.
 
 The solver works on position masks over the root's child modules and
 component masks; the public lemma functions check and convert their
-input, then run the same mask cores.
+input, then run the same mask cores.  The decision is a generator
+recursion on the one trampoline, ``decomposition._run``, so no depth of
+decomposition nests Python frames.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator, Iterator
 
-from .decomposition import _drop, _fence, _module_mask, _root_child_masks
+from .decomposition import _drop, _fence, _module_mask, _root_child_masks, _run
 from .errors import InputError
 from .graph import Graph, _flood, bits
 from .tar_engine import _bfs
@@ -133,35 +135,33 @@ def reach_ts(g: Graph, s, t) -> bool:
 
 
 def _reach_ts(g: Graph, s: int, t: int) -> bool:
-    """A worklist of subinstances; components are pushed in reverse, so they
-    are decided in order and the first failing one ends the search."""
-    todo = [(g, s, t)]
-    while todo:
-        g, s, t = todo.pop()
-        if s.bit_count() != t.bit_count():
-            return False
-        if s == t:
-            continue
-        kind, parts = _root_child_masks(g)
-        if kind == "parallel":
-            todo.extend((g._derive(cm), s & cm, t & cm) for cm in reversed(parts))
-            continue
-        big = next((pm for pm in parts if (s & pm).bit_count() >= 2), None)
-        if big is not None:
-            h = _big_module(g, t, big)
-            if h is None:
+    return _run(_ts(g, s, t))
+
+
+def _ts(g: Graph, s: int, t: int) -> Generator:
+    """The TS decision as a recursion on ``_run``; components are decided
+    in order, and the first failing one ends the search."""
+    if s.bit_count() != t.bit_count():
+        return False
+    if s == t:
+        return True
+    kind, parts = _root_child_masks(g)
+    if kind == "parallel":
+        for cm in parts:
+            if not (yield _ts(g._derive(cm), s & cm, t & cm)):
                 return False
-            todo.append((h, s, t))
-        elif any((t & pm).bit_count() >= 2 for pm in parts):
-            # symmetric two-token bound: no set reachable from s re-crowds a module
-            return False
-        else:
-            vacancies = 0
-            for pm in parts:
-                if pm & (pm - 1):
-                    g, t, used_vacancy = _shrink(g, s, t, pm)
-                    if used_vacancy:
-                        vacancies |= pm & g._vmask
-            if not _aux_decide(g, s, t, vacancies):
-                return False
-    return True
+        return True
+    big = next((pm for pm in parts if (s & pm).bit_count() >= 2), None)
+    if big is not None:
+        h = _big_module(g, t, big)
+        return h is not None and (yield _ts(h, s, t))
+    if any((t & pm).bit_count() >= 2 for pm in parts):
+        # symmetric two-token bound: no set reachable from s re-crowds a module
+        return False
+    vacancies = 0
+    for pm in parts:
+        if pm & (pm - 1):
+            g, t, used_vacancy = _shrink(g, s, t, pm)
+            if used_vacancy:
+                vacancies |= pm & g._vmask
+    return _aux_decide(g, s, t, vacancies)

@@ -1,16 +1,18 @@
 """Decomposition-deep inputs under the caller's recursion limit.
 
-The solvers walk the decomposition and their reductions with explicit
-stacks, so no entry point nests calls per decomposition level or raises
-the recursion limit.  Each case runs with the limit set to the caller's
-frame depth plus 100, on an input that nested deeper than that when the
-solvers recursed (``modular_width`` and alpha already used worklists);
-results are pinned to the values computed then.  The wide inputs are
-shallow instead: each root is a prime node of order 1000 or 500, its
-modular width, so the prime split and alpha's branching over the quotient
-run at that order under the same limit.  On a sparse random prime only
-the split runs: alpha's branching over its quotient may take time
-exponential in the order.
+The tree fold, the table fills and the TAR and TS reach decisions are
+generator recursions on one trampoline, ``decomposition._run``, so no
+entry point nests calls per decomposition level or raises the recursion
+limit.  Each case runs with the limit set to the caller's frame depth
+plus 100, on an input that nested deeper than that when the solvers
+recursed with Python calls (``modular_width`` and alpha already used
+worklists); results are pinned to the values computed then.  TS on the
+staircase descends 219 levels; on the threshold graph, only 75.  The
+wide inputs are shallow instead: each root is a prime node of order 1000
+or 500, its modular width, so the prime split and alpha's branching over
+the quotient run at that order under the same limit.  On a sparse random
+prime only the split runs: alpha's branching over its quotient may take
+time exponential in the order.
 """
 
 import contextlib
@@ -29,6 +31,7 @@ from hypothesis import given, settings
 from isreconf import (Graph, alpha, lambda_all, lambda_single, md_tree, modular_width, reach_nd,
                       reach_tar, reach_tj, reach_ts, top_partition)
 from isreconf.cli import main
+from isreconf.decomposition import _run
 from isreconf.dimacs import emit_graph
 
 from helpers import graphs
@@ -142,6 +145,7 @@ CASES = {  # name: (input, call, result)
     "reach_tj": (threshold300, lambda g, s, t: answer(reach_tj(g, s, t)), (True, 186)),
     "reach_nd": (matching, lambda g, s, t: answer(reach_nd(g, 1, s, t)), (True, 478)),
     "reach_ts": (threshold300, lambda g, s, t: reach_ts(g, s, t), True),
+    "reach_ts_staircase": (staircase, lambda g, s, t: reach_ts(g, s, t), True),
     "decompose": (threshold300, decompose_digest,
                   "c5e60450117da2fffaeb525bbff924ac05f407efae8a0c3a102fee86cb829630"),
     "decompose_rows": (threshold300, decompose_rows, (300, "series")),
@@ -160,19 +164,43 @@ def frame_depth():
     return depth
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_deep_input_leaves_the_recursion_limit_alone(name):
-    make, call, want = CASES[name]
-    g, s, t = make()
+def under_caller_limit(call, *args):
+    """``call(*args)`` with the recursion limit at the caller's frame depth plus 100, left alone."""
     old = sys.getrecursionlimit()
     limit = frame_depth() + 100
     sys.setrecursionlimit(limit)
     try:
-        got = call(g, s, t)
+        got = call(*args)
         assert sys.getrecursionlimit() == limit
     finally:
         sys.setrecursionlimit(old)
-    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_deep_input_leaves_the_recursion_limit_alone(name):
+    make, call, want = CASES[name]
+    g, s, t = make()
+    assert under_caller_limit(call, g, s, t) == want
+
+
+class Bottom(Exception):
+    pass
+
+
+def descend(n, fail=False):
+    """A generator recursion n levels deep returning n; ``fail`` raises at the bottom."""
+    if n == 0:
+        if fail:
+            raise Bottom("at the bottom")
+        return 0
+    return (yield descend(n - 1, fail)) + 1
+
+
+def test_trampoline_runs_a_deep_recursion_and_passes_its_errors_up():
+    assert under_caller_limit(_run, descend(20000)) == 20000
+    with pytest.raises(Bottom, match="at the bottom"):
+        under_caller_limit(_run, descend(20000, fail=True))
 
 
 def tree_json(node):
