@@ -1,16 +1,31 @@
 """Modular decomposition, modular-width, and twin-class partitions.
 
 The decomposition here is the straightforward polynomial one: components
-and co-components handle degenerate levels, and for a connected,
-co-connected graph the maximal proper modules are recovered by partition
-refinement plus splitter closure.  The refinement leaves a modular
-partition, so the closures run on its quotient, one vertex per part: a
-union of parts is a module of the graph iff it is one of the quotient
-(Habib and Paul, Comput. Sci. Rev. 2010).  Deliberately not the linear-time
-algorithm, and easy to validate against brute force: each part the
-refinement pops costs one pass over its members' rows, and a part is popped
-once per cut above it, so a prime node of order n costs at most O(n^2) row
-operations.
+and co-components handle degenerate levels, and a connected, co-connected
+graph is split by partition refinement from a vertex v into the maximal
+modules avoiding v.  They form a modular partition, so the children are
+found on its quotient, one vertex per part: a union of parts is a module of
+the graph iff it is one of the quotient (Habib and Paul, Comput. Sci. Rev.
+2010), the quotient by the maximal modules avoiding v of Ehrenfeucht,
+Gabow, McConnell and Sullivan (J. Algorithms 1994).  Three facts decide it:
+
+1. Every quotient module with two or more vertices holds v, because each
+   part is a maximal module avoiding v.
+2. The modules through v form a chain, because the symmetric difference of
+   two overlapping modules is a module: for two through v that do not nest,
+   it avoids v and has two or more vertices.  So for a module W through v,
+   the closure of W | {i} equals that of {v, i}, and v with the parts whose
+   closure with v is proper makes up v's home, the one child through v.
+3. Let a -> b when b sees exactly one of v and a: the closure of {v, a} is
+   v plus all that a reaches.  So for a part j whose closure with v is
+   whole, the parts whose closure with v is whole are exactly those that
+   reach j.
+
+Deliberately not the linear-time algorithm, and easy to validate against
+brute force: each part the refinement pops costs one pass over its members'
+rows, and a part is popped once per cut above it, so a prime node of order
+n costs at most O(n^2) row operations; the home is found from O(r) rows of
+the quotient of order r.
 
 Degenerate levels are split from degree buckets, which each child module
 keeps under its own offset, as its members share their outside neighbours.
@@ -95,7 +110,7 @@ def _module_mask(g: Graph, module) -> int:
 
 
 def _is_module_mask(g: Graph, m: int) -> bool:
-    return _min_module(g, m) == m
+    return _min_module(g._adj, g._vmask, m) == m
 
 
 def _fence(g: Graph, module: int) -> int:
@@ -116,16 +131,15 @@ def _drop(h: Graph, dead: int) -> Graph:
     return h._derive(h._vmask & ~dead)
 
 
-def _min_module(g: Graph, seed: int) -> int:
-    """Smallest module containing the seed mask (computed by splitter closure).
+def _min_module(adj: list[int], live: int, seed: int) -> int:
+    """Smallest module containing the seed mask, by splitter closure over the
+    rows ``adj`` (a graph's or a quotient's) restricted to ``live``.
 
     A vertex outside the working set W splits W if it has both a neighbor
     and a non-neighbor inside; the closure adds all splitters until none
     remain.  Tracked incrementally: X collects vertices seeing a member,
     Y keeps the vertices seeing every member, so X & ~Y holds the splitters.
     """
-    live = g._vmask
-    adj = g._adj
     w = pending = seed
     x = 0
     y = -1
@@ -146,10 +160,14 @@ def _prime_child_masks(g: Graph) -> list[int]:
     Starting from {v}, N(v) and the rest, any part that some outside vertex
     sees only in part is cut by that vertex's row until every part is a
     module.  No cut separates a module that avoids the cutting vertex, so
-    the parts end as exactly the maximal modules avoiding v; the one
-    containing v is the union of the fragments whose closure with v stays
-    proper.  {v} and the fragments form a modular partition, so each
-    closure is taken on its quotient, one vertex per part, rather than on g.
+    the parts end as exactly the maximal modules avoiding v.  The rest is
+    cut first, and the first part finished lies outside v's home H: the
+    non-neighbours of v outside H see none of H, so a cut by a member of H
+    keeps them all on the side cut next, and a cut by a neighbour of v
+    outside H leaves only them there.  So one closure of v with that part
+    goes whole, and the other children are the parts that reach it (fact 3
+    of the module docstring).  Part b's in-arcs are read from its quotient
+    row: its non-neighbours if b sees v, else its neighbours.
     """
     live = g._vmask
     adj = g._adj
@@ -160,27 +178,28 @@ def _prime_child_masks(g: Graph) -> list[int]:
     todo = [m for m in (nv, live & ~nv & ~vbit) if m]
     while todo:
         part = todo.pop()
-        x = 0
-        y = -1
-        for p in bits(part):
-            x |= adj[p]
-            y &= adj[p]
-        splitters = x & ~y & live & ~part
+        splitters = 0
+        if part & (part - 1):               # a single vertex is a module
+            x = 0
+            y = -1
+            for p in bits(part):
+                x |= adj[p]
+                y &= adj[p]
+            splitters = x & ~y & live & ~part
         if splitters:
             inside = part & adj[(splitters & -splitters).bit_length() - 1]
             todo += (inside, part & ~inside)
         else:
             parts.append(part)
 
-    quotient = Graph._from_adj(list(range(len(parts))), quotient_adjacency(g, parts))
-    home = vbit
-    others = []
-    for i, part in enumerate(parts[1:], 1):
-        if _min_module(quotient, 1 | 1 << i) != quotient._vmask:
-            home |= part
-        else:
-            others.append(part)
-    children = [home] + others
+    qadj = quotient_adjacency(g, parts)
+    whole = (1 << len(parts)) - 1
+    if _min_module(qadj, whole, 0b11) != whole:
+        raise InternalError("prime split's first part is inside the home")
+    # from part 1 along in-arcs, the first flood is the parts that reach it
+    reach = _flood([~row if row & 1 else row for row in qadj], whole & ~1)[0]
+    children = [sum(m for i, m in enumerate(parts) if not reach >> i & 1)]
+    children += [m for i, m in enumerate(parts) if reach >> i & 1]
     children.sort(key=lambda m: (m & -m))
     total = 0
     for c in children:

@@ -22,14 +22,14 @@ def parse_graph(text: str) -> Graph:
 
     Vertex IDs are 1-based; duplicate edges are merged; self-loops and
     out-of-range endpoints are rejected with the offending line number.
-    One pass over chunks of about 64K characters cut after a newline:
-    after the problem line, a chunk of nothing but plain `e <u> <v>` lines
-    is split once, its IDs looked up and range-checked and its self-loops
-    checked in bulk; any other chunk (the header, comments, blank lines,
-    other line ends, a bad line) goes line by line, with the same messages
-    and line numbers.  Memory beyond the text is the adjacency masks, one
-    chunk and an index from ID text to position, the size of the graph's
-    own ID index.
+    One pass over chunks cut after a newline, one line each up to the
+    problem line and about 64K characters after it: a chunk of nothing but
+    plain `e <u> <v>` lines is split once, its IDs looked up and
+    range-checked and its self-loops checked in bulk; any other chunk (a
+    header line, comments, blank lines, other line ends, a bad line) goes
+    line by line, with the same messages and line numbers.  Memory beyond
+    the text is the adjacency masks, one chunk and an index from ID text to
+    position, the size of the graph's own ID index.
     """
     n = None
     adj: list[int] = []
@@ -38,7 +38,7 @@ def parse_graph(text: str) -> Graph:
     end = len(text)
     start = 0
     while start < end:
-        cut = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or end
+        cut = text.find("\n", start if n is None else start + _CHUNK_CHARS - 1) + 1 or end
         chunk = text[start:cut]
         start = cut
         if n is not None:

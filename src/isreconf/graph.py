@@ -21,13 +21,13 @@ _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 def bits(mask: int) -> Iterator[int]:
     """Lazily yield the set bit positions of ``mask`` in ascending order.
 
-    A dense mask, one with at least one set bit per 48 positions, is read
+    A dense mask, one with at least one set bit per 12 positions, is read
     in one C-level pass: its binary digits, lowest first, become a 0/1 byte
     string that selects positions from ``count()``.  A sparse mask peels its
     lowest bit per step, three big-int operations per set bit, which beats
     scanning every digit when few are set.
     """
-    if mask.bit_count() * 48 >= mask.bit_length():
+    if mask.bit_count() * 12 >= mask.bit_length():
         return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
     return _sparse_bits(mask)
 

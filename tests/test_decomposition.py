@@ -187,7 +187,7 @@ def test_module_kernel_matches_definitions(case):
     for s in subsets:
         assert is_module(h, s) == (s in module_set)
         smallest = next(m for m in modules if s <= m)
-        assert h._idset(_min_module(h, h._mask(s))) == smallest
+        assert h._idset(_min_module(h._adj, h._vmask, h._mask(s))) == smallest
     complement = Graph(vs, [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
                             if v not in nbrs[u]])
     assert [h._idset(m) for m in _flood(h._adj, h._vmask, co=True)] == complement.components()
@@ -279,10 +279,13 @@ PRIME_QUOTIENTS = {
     "c5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
 }
 # small module graphs as (order, edges); vertex 1 may sit at any position of
-# the home module, so the refinement leaves the home in one to three fragments
+# the home module, so the refinement leaves the home in one to three fragments.
+# In the last, positions 0 and 1 are false twins under 2 and 3 sees none of
+# them: from 0 or 1, the three fragments lie on three levels of the chain of
+# modules through vertex 1
 HOME_MODULES = [
     (2, []), (2, [(0, 1)]), (3, []), (3, [(0, 1)]), (3, [(0, 1), (1, 2)]),
-    (4, [(0, 1), (1, 2), (2, 3)]),
+    (4, [(0, 1), (1, 2), (2, 3)]), (4, [(0, 2), (1, 2)]),
 ]
 OTHER_MODULES = [(1, []), (2, []), (2, [(0, 1)])]
 
@@ -320,7 +323,7 @@ def maximal_modules(g):
 @settings(max_examples=80, deadline=None)
 @given(substituted_prime())
 def test_top_partition_finds_substituted_modules(case):
-    # the home module of vertex 1 is closed on the refinement's quotient;
+    # the home module of vertex 1 is found on the refinement's quotient;
     # these random graphs seldom give it three fragments, the next test does
     g, modules = case
     assert set(top_partition(g)) == maximal_modules(g) == modules
@@ -335,6 +338,40 @@ def test_top_partition_closes_a_home_of_three_fragments():
     want = [frozenset({1, 2, 3, 4}), frozenset({5}), frozenset({6}), frozenset({7})]
     assert top_partition(g) == want and set(want) == maximal_modules(g)
     assert modular_width(g) == 4
+
+
+def closures_taken(monkeypatch):
+    """A list that gets the rows of each closure taken from now on."""
+    rows = []
+    monkeypatch.setattr(decomposition, "_min_module",
+                        lambda adj, live, seed: rows.append(adj) or _min_module(adj, live, seed))
+    return rows
+
+
+def test_top_partition_of_a_home_on_three_chain_levels(monkeypatch):
+    # 1 and 2 are false twins under 3, and 4 sees none of them, so the closures
+    # of 1 with 2, 3 and 4 grow in two proper steps to the home {1, 2, 3, 4},
+    # which sits second on the P4 5-x-6-7; the split takes one closure on its
+    # quotient, as the first part the refinement finishes, {7}, avoids the home
+    g = Graph(range(1, 8), [(1, 3), (2, 3), (6, 7)]
+              + [(u, v) for v in range(1, 5) for u in (5, 6)])
+    assert [g._idset(_min_module(g._adj, g._vmask, g._mask({1, u}))) for u in (2, 3, 4)] == [
+        {1, 2}, {1, 2, 3}, {1, 2, 3, 4}]
+    closures = closures_taken(monkeypatch)
+    want = [frozenset({1, 2, 3, 4}), frozenset({5}), frozenset({6}), frozenset({7})]
+    assert top_partition(g) == want and set(want) == maximal_modules(g)
+    assert sum(rows is not g._adj for rows in closures) == 1
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_prime_split_of_paths_and_cycles_takes_one_quotient_closure(monkeypatch, n):
+    # a closure of v with each part would be n - 1 closures on the quotient,
+    # each growing to the whole of it
+    closures = closures_taken(monkeypatch)
+    for g in (path_graph(range(1, n + 1)), cycle_graph(range(1, n + 1))):
+        closures.clear()
+        assert _prime_child_masks(g) == [1 << p for p in range(n)]
+        assert sum(rows is not g._adj for rows in closures) == 1
 
 
 @pytest.mark.parametrize("n", range(4, 11))

@@ -124,10 +124,10 @@ def test_neighborhood_disjoint_from_set(g, seed):
 
 @st.composite
 def near_density_threshold(draw):
-    """A mask of 48 to 4000 bits with about one set bit per 48 positions:
+    """A mask of 12 to 4000 bits with about one set bit per 12 positions:
     exactly enough for the dense path of ``bits``, or one fewer."""
-    length = draw(st.integers(48, 4000))
-    count = max(1, -(-length // 48) - draw(st.integers(0, 1)))
+    length = draw(st.integers(12, 4000))
+    count = max(1, -(-length // 12) - draw(st.integers(0, 1)))
     others = draw(st.sets(st.integers(0, length - 2), min_size=count - 1, max_size=count - 1))
     return sum(1 << p for p in others) | 1 << (length - 1)
 
