@@ -168,6 +168,13 @@ def _prime_child_masks(g: Graph) -> list[int]:
     goes whole, and the other children are the parts that reach it (fact 3
     of the module docstring).  Part b's in-arcs are read from its quotient
     row: its non-neighbours if b sees v, else its neighbours.
+
+    Refinement stops only when no part has a splitter, so every part is a
+    module, and the home is one iff its parts see the same parts outside
+    it: an O(r) test on the quotient, the split's self-check.  The
+    children's quotient, the home's parts merged into one vertex that sees
+    what {v} sees outside the home, is left in g's memo under "quotient"
+    for ``mis._alpha_prime``.
     """
     live = g._vmask
     adj = g._adj
@@ -198,15 +205,18 @@ def _prime_child_masks(g: Graph) -> list[int]:
         raise InternalError("prime split's first part is inside the home")
     # from part 1 along in-arcs, the first flood is the parts that reach it
     reach = _flood([~row if row & 1 else row for row in qadj], whole & ~1)[0]
-    children = [sum(m for i, m in enumerate(parts) if not reach >> i & 1)]
-    children += [m for i, m in enumerate(parts) if reach >> i & 1]
-    children.sort(key=lambda m: (m & -m))
-    total = 0
-    for c in children:
-        if not _is_module_mask(g, c):
-            raise InternalError("prime split produced a non-module part")
-        total |= c
-    if total != live or len(children) < 2:
+    home = whole & ~reach
+    if any(qadj[i] & reach != qadj[0] & reach for i in bits(home)):
+        raise InternalError("prime split's home is not a module")
+    # v has the lowest position, so the home comes first among the children
+    outside = sorted(bits(reach), key=lambda i: parts[i] & -parts[i])
+    child_bit = [1] * len(parts)            # the home's parts map to the home, child 0
+    for c, i in enumerate(outside, 1):
+        child_bit[i] = 1 << c
+    g._memo["quotient"] = [_remap(row, child_bit)
+                           for row in [qadj[0] & reach] + [qadj[i] for i in outside]]
+    children = [sum(parts[i] for i in bits(home))] + [parts[i] for i in outside]
+    if sum(children) != live:
         raise InternalError("prime split is not a partition")
     return children
 
@@ -256,13 +266,25 @@ def _degree_buckets(g: Graph) -> tuple[dict[int, int], int]:
 def quotient_adjacency(g: Graph, masks: list[int]) -> list[int]:
     """Bit j of row i is set iff module i sees module j; modules are disjoint.
 
-    A module sees all or nothing of another, so one member decides a row.
+    A module sees all or nothing of another, so one member decides, both
+    for the row and for the module seen: each lowest member's row is ANDed
+    once with the lowest members of all, and the positions left map to
+    the row's bits.
     """
-    qadj = []
-    for i, mi in enumerate(masks):
-        row = g._adj[(mi & -mi).bit_length() - 1]
-        qadj.append(sum(1 << j for j, mj in enumerate(masks) if i != j and row & mj))
-    return qadj
+    bit = {(m & -m).bit_length() - 1: 1 << i for i, m in enumerate(masks)}
+    lowest = sum(m & -m for m in masks)
+    return [_remap(g._adj[p] & lowest, bit) for p in bit]
+
+
+def _remap(mask: int, bit) -> int:
+    """The OR of ``bit[q]`` over the set bits q of ``mask``, read highest
+    first, so a long mask shrinks as it is read."""
+    out = 0
+    while mask:
+        q = mask.bit_length() - 1
+        out |= bit[q]
+        mask ^= 1 << q
+    return out
 
 
 def _run(gen: Generator):

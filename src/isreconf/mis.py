@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import _fold, quotient_adjacency
+from .decomposition import _fold
 from .graph import Graph, bits
 
 
@@ -52,7 +52,8 @@ def _alpha_node(g: Graph, kind: str, masks: list[int], parts: list[tuple[int, in
 
 
 def _alpha_prime(g: Graph, child_masks: list[int], parts: list[tuple[int, int]]) -> tuple[int, int]:
-    size, _, negm = _heaviest((1 << len(child_masks)) - 1, quotient_adjacency(g, child_masks),
+    # the quotient the prime split left on g, rows in ``child_masks`` order
+    size, _, negm = _heaviest((1 << len(child_masks)) - 1, g._memo["quotient"],
                               [p[0] for p in parts], {0: (0, 0, 0)})
     return size, sum(parts[i][1] for i in bits(-negm))
 
@@ -60,10 +61,13 @@ def _alpha_prime(g: Graph, child_masks: list[int], parts: list[tuple[int, int]])
 def _heaviest(cand: int, qadj: list[int], sizes: list[int], memo: dict) -> tuple[int, int, int]:
     """Largest (weight, -count, -mask) over the independent subsets of cand.
 
-    Branches on the highest child: take it (and drop its neighbours) or,
-    when it has a neighbour left, leave it.  The branches are solved on an
-    explicit stack, so a long chain of decisions needs no recursion; not on
-    ``decomposition._run``, as a generator per subproblem is slower here.
+    ``_alpha_prime`` weighs a prime node's children by their alphas, and
+    ``tar_engine._class_search`` weighs twin classes by their sizes for the
+    bound at which it stops.  Branches on the highest child: take it (and
+    drop its neighbours) or, when it has a neighbour left, leave it.  The
+    branches are solved on an explicit stack, so a long chain of decisions
+    needs no recursion; not on ``decomposition._run``, as a generator per
+    subproblem is slower here.
     """
     if cand in memo:
         return memo[cand]

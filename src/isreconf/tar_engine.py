@@ -21,10 +21,10 @@ from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence, T
 
 from . import stats
 from .decomposition import (_clique_class, _drop, _is_module_mask, _module_mask,
-                            _root_child_masks, _run, _twin_masks)
+                            _root_child_masks, _run, _twin_masks, quotient_adjacency)
 from .errors import InputError, InternalError
 from .graph import Graph
-from .mis import _alpha_mask
+from .mis import _alpha_mask, _heaviest
 from .moveseq import EMPTY, MoveRope, adds, removes
 from .rules import Move, ReconfSequence, Rule, _replay
 
@@ -113,12 +113,16 @@ def _class_search(g: Graph, floor: int, start: int,
     one), so every remaining class is edgeless and a token in a class can
     always be joined by the rest of it.  Start and goal are saturated that
     way, and ``_bfs`` runs over unions of whole classes, as position
-    masks, that keep at least ``floor`` tokens.  Without a goal it returns
-    the first largest union found and the moves from ``start``; with one
-    (which must avoid the dropped clique vertices) it returns ``goal`` and
-    the moves to it, or None if no union path joins the two.  Exponential
-    in the twin-class count only.  A start holding every vertex (so the
-    graph is edgeless, or empty) is already the largest union.
+    masks, that keep at least ``floor`` tokens.  With a goal (which must
+    avoid the dropped clique vertices) it returns ``goal`` and the moves to
+    it, or None if no union path joins the two.  Without one it returns the
+    first largest union found and the moves from ``start``.  No union
+    outweighs the heaviest independent set of the class quotient (found by
+    ``mis._heaviest`` once a second union shows), so the walk stops at the
+    first union of that weight: the union, and parent path, that a walk
+    over every reachable union would return.  Exponential in the
+    twin-class count only.  A start holding every vertex (so the graph is
+    edgeless, or empty) is already the largest union.
     """
     if start == g._vmask and goal in (None, start):
         return start, EMPTY
@@ -154,7 +158,17 @@ def _class_search(g: Graph, floor: int, start: int,
     parent: dict[int, tuple[int, int] | None] = {}
     states = _bfs(state, step, parent)
     if goal is None:
-        at = end = max(states, key=int.bit_count)
+        at = next(states)
+        top = None
+        for other in states:
+            if top is None:
+                top = _heaviest((1 << len(classes)) - 1, quotient_adjacency(g, classes),
+                                [c.bit_count() for c in classes], {0: (0, 0, 0)})[0]
+            if other.bit_count() > at.bit_count():
+                at = other
+            if at.bit_count() == top:
+                break
+        end = at
     elif any(goal_state in parent for _ in states):
         at, end = goal_state, goal
     else:

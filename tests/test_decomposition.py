@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isreconf import (GenProfile, Graph, InputError, alpha, brute_modular_width, gen_instance,
-                      is_module, md_tree, modular_width, nd_partition, reach_tar, top_partition)
+from isreconf import (GenProfile, Graph, InputError, InternalError, alpha, brute_modular_width,
+                      gen_instance, is_module, md_tree, modular_width, nd_partition, reach_tar,
+                      top_partition)
 from isreconf import decomposition
 from isreconf.decomposition import (_clique_class, _degree_buckets, _min_module, _prime_child_masks,
-                                    _root_child_masks, _twin_masks)
+                                    _root_child_masks, _twin_masks, quotient_adjacency)
 from isreconf.graph import _flood, bits
 
 from helpers import (complete_graph, cycle_graph, edgeless_graph, graphs,
@@ -372,6 +373,59 @@ def test_prime_split_of_paths_and_cycles_takes_one_quotient_closure(monkeypatch,
         closures.clear()
         assert _prime_child_masks(g) == [1 << p for p in range(n)]
         assert sum(rows is not g._adj for rows in closures) == 1
+
+
+def member_quotient(g, masks):
+    """Quotient rows by definition: module i sees module j iff a member of i sees one of j."""
+    return [sum(1 << j for j, mj in enumerate(masks)
+                if i != j and any(g._adj[p] & mj for p in bits(mi)))
+            for i, mi in enumerate(masks)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(substituted_prime())
+def test_prime_split_leaves_the_quotient_of_its_children(case):
+    # the children's quotient is derived from the parts', the home's parts
+    # merged into one vertex, and no closure runs on the graph's rows
+    g, modules = case
+    with pytest.MonkeyPatch.context() as mp:
+        closures = closures_taken(mp)
+        children = _prime_child_masks(g)
+    assert set(map(g._idset, children)) == modules
+    assert not any(rows is g._adj for rows in closures)
+    assert g._memo["quotient"] == member_quotient(g, children) == quotient_adjacency(g, children)
+
+
+def test_prime_split_checks_its_home_on_the_quotient(monkeypatch):
+    # the three-fragment home {1, 2, 3, 4} above: if the quotient row of its
+    # fragment {4} also saw {7}, the home would be no module
+    g = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (6, 7)]
+              + [(u, v) for v in range(1, 5) for u in (5, 6)])
+    real = decomposition.quotient_adjacency
+
+    def one_wrong_bit(h, parts):
+        rows = real(h, parts)
+        rows[parts.index(h._mask({4}))] ^= 1 << parts.index(h._mask({7}))
+        return rows
+
+    monkeypatch.setattr(decomposition, "quotient_adjacency", one_wrong_bit)
+    with pytest.raises(InternalError, match="home is not a module"):
+        _prime_child_masks(g)
+
+
+def test_prime_splits_of_random_graphs_leave_their_quotients():
+    rng = random.Random(5)
+    todo = [random_graph(rng, rng.randint(4, 14), rng.choice([0.3, 0.5, 0.7])) for _ in range(150)]
+    todo += [gen_instance(seed, GenProfile(n=80, width=6, rule="tar"))[0] for seed in range(4)]
+    primes = 0
+    while todo:
+        h = todo.pop()
+        kind, masks = _root_child_masks(h)
+        if kind == "prime":
+            assert h._memo["quotient"] == member_quotient(h, masks) == quotient_adjacency(h, masks)
+            primes += 1
+        todo += [h._derive(c) for c in masks if c & (c - 1)]
+    assert primes >= 100
 
 
 @pytest.mark.parametrize("n", range(4, 11))

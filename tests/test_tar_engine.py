@@ -6,6 +6,8 @@ import pytest
 from isreconf import (GenProfile, Graph, InputError, alpha, decomposition, gen_instance,
                       lambda_all, lambda_nd, lambda_single, lambda_step, oracle_lambda,
                       reach_tar, shrink_module, tar_engine, verify_sequence)
+from isreconf.moveseq import MoveRope
+from isreconf.rules import Move
 
 from helpers import (cycle_graph, edgeless_graph, join_all, path_graph, random_graph,
                      random_independent_set, star_graph, threshold_graph, threshold_sides)
@@ -273,3 +275,111 @@ def test_rule_2a_skips_a_pool_full_of_tokens(monkeypatch):
     for res in lambda_all(g, alpha(g).witness).values():
         check_result(g, res)
     assert full and not any(full)
+
+
+def full_class_search(g, floor, start, goal=None):
+    """``_class_search`` as it was before its early stop: a goal-less search
+    walks every reachable union and takes the first largest (``max``)."""
+    if start == g._vmask and goal in (None, start):
+        return start, tar_engine.EMPTY
+    classes = tar_engine._twin_masks(g)
+    drop = 0
+    for cm in classes:
+        if tar_engine._clique_class(g, cm):
+            keep = cm & start or cm
+            drop |= cm & ~(keep & -keep)
+    if drop:
+        g = g._derive(g._vmask & ~drop)
+        classes = tar_engine._twin_masks(g, [c & ~drop for c in classes])
+    rows = [g._adj[(c & -c).bit_length() - 1] for c in classes]
+
+    def saturate(side):
+        return (sum(c for c in classes if c & side),
+                [Move.add(v) for c in classes if c & side for v in g._ids(c & ~side)])
+
+    def step(state):
+        size = state.bit_count()
+        for c, row in zip(classes, rows):
+            if not state & c:
+                if not row & state:
+                    yield state | c, c
+            elif size - c.bit_count() >= floor:
+                yield state ^ c, c
+
+    state, moves = saturate(start)
+    goal_state, goal_moves = saturate(goal) if goal is not None else (None, [])
+    parent = {}
+    states = tar_engine._bfs(state, step, parent)
+    if goal is None:
+        at = end = max(states, key=int.bit_count)
+    elif any(goal_state in parent for _ in states):
+        at, end = goal_state, goal
+    else:
+        return None
+    hops = []
+    while parent[at] is not None:
+        at, c = parent[at]
+        move = Move.remove if at & c else Move.add
+        hops.append([move(v) for v in g._ids(c)])
+    for hop in reversed(hops):
+        moves.extend(hop)
+    return end, MoveRope.cat(MoveRope.leaf(moves), MoveRope.rev(MoveRope.leaf(goal_moves)))
+
+
+def pool_views(seed):
+    """Rule 2a-style views of a gen_instance graph: unions of maximum
+    independent sets of some root parts, grouped by those slices."""
+    g, s, _, _ = gen_instance(seed, GenProfile(n=60, width=6, rule="tar"))
+    rng = random.Random(seed)
+    _, part_masks = decomposition._root_child_masks(g)
+    slices = [tar_engine._alpha_mask(g._derive(pm))[1] for pm in part_masks]
+    for _ in range(4):
+        free = [sl for sl in slices if rng.random() < 0.6] or slices[:1]
+        view = g._derive(sum(free))
+        tar_engine._twin_masks(view, free)
+        yield view, view._mask(random_independent_set(rng, view, keep=rng.random()))
+
+
+def search_cases():
+    """(view, start) pairs: whole small gen_instance graphs and pool views."""
+    for seed in range(12):
+        g, _, _, _ = gen_instance(seed, GenProfile(n=12, width=4, rule="tar"))
+        for keep in (0.3, 0.7, 1.0):
+            yield g, g._mask(random_independent_set(random.Random(seed), g, keep))
+    for seed in range(6):
+        yield from pool_views(seed)
+
+
+def test_early_stopped_search_matches_the_full_walk():
+    # same union and same moves at every floor; a high floor can keep every
+    # reachable union below alpha, and then the whole walk still runs
+    below = stopped = 0
+    for g, start in search_cases():
+        top = alpha(g).size
+        for floor in range(start.bit_count() + 1):
+            reached, rope = tar_engine._class_search(g, floor, start)
+            want, want_rope = full_class_search(g, floor, start)
+            assert reached == want and rope.flatten() == want_rope.flatten()
+            below += reached.bit_count() < top
+            stopped += reached.bit_count() == top
+    assert below >= 20 and stopped >= 100
+
+
+def test_early_stopped_search_visits_fewer_unions(monkeypatch):
+    visited = []
+    real = tar_engine._bfs
+
+    def counted(start, step, parent):
+        for state in real(start, step, parent):
+            visited.append(state)
+            yield state
+
+    monkeypatch.setattr(tar_engine, "_bfs", counted)
+    view, start = next(pool_views(0))
+    counts = []
+    for search in (tar_engine._class_search, full_class_search):
+        visited.clear()
+        for floor in range(start.bit_count() + 1):
+            search(view, floor, start)
+        counts.append(len(visited))
+    assert counts[0] < counts[1]
