@@ -27,13 +27,21 @@ def parse_graph(text: str) -> Graph:
     plain `e <u> <v>` lines is split once, its IDs looked up and
     range-checked and its self-loops checked in bulk; any other chunk (a
     header line, comments, blank lines, other line ends, a bad line) goes
-    line by line, with the same messages and line numbers.  Memory beyond
-    the text is the adjacency masks, one chunk and an index from ID text to
-    position, the size of the graph's own ID index.
+    line by line, with the same messages and line numbers.  The first chunk
+    after the problem line decides once whether the input is dense: at its
+    characters per line, the text left holds at least n² / 16 edges.  A
+    dense input's bulk chunks OR each edge into the first endpoint's row
+    only, and `_transpose_into` fills in the other half at the end; the
+    line-by-line chunks OR both ways, and the closure is the same either
+    way.  Memory beyond the text is the adjacency masks, one chunk and an
+    index from ID text to position, the size of the graph's own ID index.
+    The estimate is at most the text's length, so a dense input has n² at
+    most 16 times that, which bounds the transpose's work and strings.
     """
     n = None
     adj: list[int] = []
     position = None             # "1".."n" -> 0..n-1, built for the first chunk after the header
+    dense = False               # bulk chunks OR one way; _transpose_into fills in the other
     lineno = 0
     end = len(text)
     start = 0
@@ -45,7 +53,9 @@ def parse_graph(text: str) -> Graph:
             count = chunk.count("\n") + (chunk[-1] != "\n")
             if position is None:
                 position = {str(v): v - 1 for v in range(1, n + 1)}
-            if _plain_edges(chunk, count, position, adj):
+                # edges left, at this chunk's characters per line, against n² / 16
+                dense = 16 * (end - cut + len(chunk)) * count >= n * n * len(chunk)
+            if _plain_edges(chunk, count, position, adj, dense):
                 lineno += count
                 continue
         lines = chunk.splitlines()
@@ -54,19 +64,23 @@ def parse_graph(text: str) -> Graph:
     if n is None:
         raise InputError("missing problem line 'p edge <n> <m>'")
     del position                # before the graph builds its own ID index
+    if dense:
+        _transpose_into(adj, n)
     return Graph._from_adj(list(range(1, n + 1)), adj)
 
 
-def _plain_edges(chunk: str, count: int, position: dict[str, int], adj: list[int]) -> bool:
+def _plain_edges(chunk: str, count: int, position: dict[str, int], adj: list[int],
+                 one_way: bool) -> bool:
     """OR a chunk of `count` plain `e <u> <v>` lines with distinct ends into adj.
 
     `position` maps each vertex ID, written in decimal, to its 0-based
-    position.  Returns False, with adj untouched, for any other chunk.
-    Only the bytes `e`, digits, space, tab and newline, every line starting
-    with `e`, three tokens a line, every third token `e` and the others
-    vertex IDs make each line exactly one `e` and two IDs between blanks,
-    which the line-by-line parser reads the same way.  An ID with a
-    leading zero is not a key, so its chunk goes line by line.
+    position.  With `one_way` only u's row gets the edge, and the caller
+    symmetrizes adj after.  Returns False, with adj untouched, for any
+    other chunk.  Only the bytes `e`, digits, space, tab and newline, every
+    line starting with `e`, three tokens a line, every third token `e` and
+    the others vertex IDs make each line exactly one `e` and two IDs
+    between blanks, which the line-by-line parser reads the same way.  An
+    ID with a leading zero is not a key, so its chunk goes line by line.
     """
     # isascii first: encode() would raise on a lone surrogate
     if (not chunk.isascii() or chunk.encode().translate(None, _PLAIN_BYTES)
@@ -82,10 +96,35 @@ def _plain_edges(chunk: str, count: int, position: dict[str, int], adj: list[int
         return False
     if any(map(operator.eq, us, vs)):
         return False
+    if one_way:
+        for u, v in zip(us, vs):
+            adj[u] |= 1 << v
+        return True
     for u, v in zip(us, vs):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return True
+
+
+def _transpose_into(adj: list[int], n: int) -> None:
+    """OR the transpose of the n × n bit matrix adj into adj, in place.
+
+    Blocks of n / 16 rows: their `n`-digit binary strings are joined,
+    highest row first, so that one strided slice reads column j of the
+    block, highest row first, as the digits of one int.  About three
+    blocks' worth of strings, 3n² / 16 characters, are alive at once; at
+    n = 2000 that is less than a 64K chunk's tokens.  ORing in place is
+    safe: a bit that a block adds to a row not yet read comes back to a
+    row that already has it.
+    """
+    step = max(n >> 4, 1)
+    width = f"0{n}b"
+    for low in range(0, n, step):
+        rows = "".join([format(row, width) for row in reversed(adj[low:low + step])])
+        for j in range(n):
+            column = int(rows[n - 1 - j::n], 2)
+            if column:
+                adj[j] |= column << low
 
 
 def _parse_lines(lines: list[str], lineno: int, n: int | None,

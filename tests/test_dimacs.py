@@ -5,11 +5,16 @@ which split the whole text into lines and handled each one.  The tests
 assert that ``dimacs.parse_graph`` builds the same graph (IDs and
 adjacency masks) or raises the same ``InputError`` message, line number
 included, on hypothesis texts and on fixed texts, with chunks cut after
-every line, every few characters and at the default size.  Two more tests
-check that a plain edge list is taken in bulk and that parsing holds no
-more memory than the earlier parser did.
+every line, every few characters and at the default size.  More tests
+check that a plain edge list is taken in bulk, that only dense inputs
+take the one-way ORs and the transpose, and that parsing holds no more
+memory than the earlier parsers did: ``bulk_parse_graph`` is a verbatim
+copy of the chunked parser that ORed every edge both ways, its helpers
+named through ``dimacs``.
 """
 
+import contextlib
+import operator
 import random
 import tracemalloc
 
@@ -69,6 +74,80 @@ def parse_graph(text: str) -> Graph:
     if n is None:
         raise InputError("missing problem line 'p edge <n> <m>'")
     return Graph._from_adj(list(range(1, n + 1)), adj)
+
+
+# -- the two-way bulk parser, verbatim but for its names --------------------------
+
+
+def bulk_parse_graph(text: str) -> Graph:
+    """Parse `c` comments, one `p edge <n> <m>` line, then `e <u> <v>` lines.
+
+    Vertex IDs are 1-based; duplicate edges are merged; self-loops and
+    out-of-range endpoints are rejected with the offending line number.
+    One pass over chunks cut after a newline, one line each up to the
+    problem line and about 64K characters after it: a chunk of nothing but
+    plain `e <u> <v>` lines is split once, its IDs looked up and
+    range-checked and its self-loops checked in bulk; any other chunk (a
+    header line, comments, blank lines, other line ends, a bad line) goes
+    line by line, with the same messages and line numbers.  Memory beyond
+    the text is the adjacency masks, one chunk and an index from ID text to
+    position, the size of the graph's own ID index.
+    """
+    n = None
+    adj: list[int] = []
+    position = None             # "1".."n" -> 0..n-1, built for the first chunk after the header
+    lineno = 0
+    end = len(text)
+    start = 0
+    while start < end:
+        cut = text.find("\n", start if n is None else start + dimacs._CHUNK_CHARS - 1) + 1 or end
+        chunk = text[start:cut]
+        start = cut
+        if n is not None:
+            count = chunk.count("\n") + (chunk[-1] != "\n")
+            if position is None:
+                position = {str(v): v - 1 for v in range(1, n + 1)}
+            if bulk_plain_edges(chunk, count, position, adj):
+                lineno += count
+                continue
+        lines = chunk.splitlines()
+        n, adj = dimacs._parse_lines(lines, lineno, n, adj)
+        lineno += len(lines)
+    if n is None:
+        raise InputError("missing problem line 'p edge <n> <m>'")
+    del position                # before the graph builds its own ID index
+    return Graph._from_adj(list(range(1, n + 1)), adj)
+
+
+def bulk_plain_edges(chunk: str, count: int, position: dict[str, int], adj: list[int]) -> bool:
+    """OR a chunk of `count` plain `e <u> <v>` lines with distinct ends into adj.
+
+    `position` maps each vertex ID, written in decimal, to its 0-based
+    position.  Returns False, with adj untouched, for any other chunk.
+    Only the bytes `e`, digits, space, tab and newline, every line starting
+    with `e`, three tokens a line, every third token `e` and the others
+    vertex IDs make each line exactly one `e` and two IDs between blanks,
+    which the line-by-line parser reads the same way.  An ID with a
+    leading zero is not a key, so its chunk goes line by line.
+    """
+    # isascii first: encode() would raise on a lone surrogate
+    if (not chunk.isascii() or chunk.encode().translate(None, dimacs._PLAIN_BYTES)
+            or (chunk[0] == "e") + chunk.count("\ne") != count):
+        return False
+    toks = chunk.split()
+    if len(toks) != 3 * count or toks[::3].count("e") != count:
+        return False
+    try:
+        us = list(map(position.__getitem__, toks[1::3]))
+        vs = list(map(position.__getitem__, toks[2::3]))
+    except KeyError:            # out of range, a leading zero or an `e` out of place
+        return False
+    if any(map(operator.eq, us, vs)):
+        return False
+    for u, v in zip(us, vs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return True
 
 
 # -- helpers --------------------------------------------------------------------
@@ -296,3 +375,80 @@ def test_parse_memory_stays_at_the_masks():
     n = 20_000
     text = plain_text(n, [(v, v + 1) for v in range(1, n)])
     assert traced_peak(dimacs.parse_graph, text) <= 1.25 * traced_peak(parse_graph, text)
+
+
+# -- dense inputs: one-way ORs and one transpose -------------------------------------
+
+
+@contextlib.contextmanager
+def transposes():
+    """Record n for each call of dimacs._transpose_into inside the block."""
+    calls = []
+    transpose = dimacs._transpose_into
+
+    def counted(adj, n):
+        calls.append(n)
+        transpose(adj, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimacs, "_transpose_into", counted)
+        yield calls
+
+
+def dense_edges(seed):
+    """A gen_instance(n=600, width=12) graph and its edges, each in a random orientation."""
+    g, _, _, _ = gen_instance(seed, GenProfile(n=600, width=12, rule="tar"))
+    rng = random.Random(seed)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+    rng.shuffle(edges)
+    return g, edges
+
+
+def test_sparse_inputs_skip_the_transpose():
+    n = 20_000
+    rng = random.Random(2)
+    pairs = ((rng.randint(1, n), rng.randint(1, n)) for _ in range(60_000))
+    random_edges = [(u, v) for u, v in pairs if u != v]
+    for edges in ([(v, v + 1) for v in range(1, n)], random_edges):
+        with transposes() as calls:
+            got = dimacs.parse_graph(plain_text(n, edges))
+        assert calls == []
+        assert got._adj == Graph(range(1, n + 1), edges)._adj
+
+
+def test_dense_input_takes_one_transpose():
+    g, edges = dense_edges(0)
+    assert 16 * len(edges) >= g.n ** 2
+    with transposes() as calls:
+        got = dimacs.parse_graph(plain_text(g.n, edges))
+    assert calls == [g.n]
+    assert got._uid == g._uid and got._adj == g._adj
+
+
+def test_dense_text_with_odd_lines_matches_the_line_parser():
+    g, edges = dense_edges(1)
+    rng = random.Random(3)
+    edges += [(v, u) for u, v in rng.sample(edges, 500)]       # each repeat turned around
+    rng.shuffle(edges)
+    lines = [f"e {u} {v}\n" for u, v in edges]
+    mid = len(lines) // 2
+    u, v = edges[mid]
+    lines[mid:mid] = ["c a comment in the middle\n", f"e\t{v}\t{u}\n"]
+    text = f"p edge {g.n} {len(edges)}\n" + "".join(lines)
+    for size in (64, dimacs._CHUNK_CHARS):
+        with transposes() as calls:
+            assert_parity(text, sizes=(size,))
+        assert calls == [g.n]
+    assert dimacs.parse_graph(text)._adj == g._adj
+
+
+def test_dense_parse_memory_stays_at_the_two_way_parser():
+    n = 2000
+    rng = random.Random(11)
+    edges = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.15]
+    text = plain_text(n, edges)
+    with transposes() as calls:
+        assert traced_peak(dimacs.parse_graph, text) <= 1.25 * traced_peak(bulk_parse_graph, text)
+    assert calls == [n]
+
