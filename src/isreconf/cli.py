@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: decompose, alpha, lambda, solve, verify, oracle, gen, bench.
-Results are JSON on stdout.  Exit codes: 0 for a completed run (yes or
-no alike, also when the reader closes stdout early), 2 for input errors,
-3 for internal failures such as a certificate that does not verify.
+Each returns its JSON payload, which ``main`` prints (bench prints CSV).
+Exit codes: 0 for a completed run (yes or no alike, also when the reader
+closes stdout early), 2 for input errors, 3 for internal failures such
+as a certificate that does not verify.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .mis import alpha
 from .oracle import GenProfile, gen_instance, oracle_cap, oracle_reach
 from .rules import Move, ReconfSequence, Rule, TAR, TJ, TS, verify_sequence
 from .tar_engine import lambda_single
-from .tar_reach import reach_tar, reach_tj
+from .tar_reach import ReachAnswer, reach_tar, reach_tj
 from .ts_reach import reach_ts
 
 
@@ -40,12 +41,8 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _load_graph(args) -> Graph:
-    return parse_graph(_read(args.graph))
-
-
 def _load_instance(args, check_target_floor: bool = True) -> Instance:
-    g = _load_graph(args)
+    g = parse_graph(_read(args.graph))
     sidecar_path = args.sidecar or args.graph + ".json"
     sidecar = load_sidecar(_read(sidecar_path))
     return build_instance(g, sidecar, getattr(args, "rule", None), getattr(args, "k", None),
@@ -85,7 +82,18 @@ def _tree_rows(tree: MDNode) -> list[dict]:
     return rows
 
 
-def _sequence_json(seq: ReconfSequence) -> list[dict]:
+def _decide(rule: Rule, g: Graph, s, t) -> tuple[bool, ReachAnswer | None]:
+    """Reachability under the rule, plus the TAR or TJ answer that holds the certificate."""
+    if rule.kind == TS:
+        return reach_ts(g, s, t), None
+    answer = reach_tar(g, rule.k, s, t) if rule.kind == TAR else reach_tj(g, s, t)
+    return answer.reachable, answer
+
+
+def _certified(g: Graph, seq: ReconfSequence, want: frozenset[int]) -> list[dict]:
+    """The sequence's moves as JSON, once a replay shows that it ends at ``want``."""
+    if verify_sequence(g, seq) != want:
+        raise InternalError("the replayed sequence does not end at the reported set")
     return [m.to_json() for m in seq.moves]
 
 
@@ -99,11 +107,11 @@ def _run_stats(g: Graph, started: float, skip_width: bool = False) -> dict:
     }
 
 
-def cmd_decompose(args) -> int:
-    g = _load_graph(args)
+def cmd_decompose(args) -> dict:
+    g = parse_graph(_read(args.graph))
     started = time.perf_counter()
     classes = nd_partition(g)
-    out = {
+    return {
         "answer": "ok",
         "n": g.n,
         "m": g.m,
@@ -113,24 +121,21 @@ def cmd_decompose(args) -> int:
         "tree": _tree_rows(md_tree(g)),
         "stats": _run_stats(g, started),
     }
-    _emit(out, args.json)
-    return 0
 
 
-def cmd_alpha(args) -> int:
-    g = _load_graph(args)
+def cmd_alpha(args) -> dict:
+    g = parse_graph(_read(args.graph))
     started = time.perf_counter()
     best = alpha(g)
-    _emit({
+    return {
         "answer": "ok",
         "size": best.size,
         "set": sorted(best.witness),
         "stats": _run_stats(g, started),
-    }, args.json)
-    return 0
+    }
 
 
-def cmd_lambda(args) -> int:
+def cmd_lambda(args) -> dict:
     inst = _load_instance(args, check_target_floor=False)
     if inst.rule.kind != TAR:
         raise InputError("lambda is defined for rule tar only")
@@ -143,42 +148,26 @@ def cmd_lambda(args) -> int:
         "stats": _run_stats(inst.graph, started),
     }
     if args.certify:
-        seq = result.sequence
-        final = verify_sequence(inst.graph, seq)
-        if final != result.reached:
-            raise InternalError("witness sequence does not end at the reported set")
-        out["sequence"] = _sequence_json(seq)
-    _emit(out, args.json)
-    return 0
+        out["sequence"] = _certified(inst.graph, result.sequence, result.reached)
+    return out
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> dict:
     inst = _load_instance(args)
-    g, rule = inst.graph, inst.rule
+    if args.certify and inst.rule.kind == TS:
+        raise InputError("certificates are not available under ts")
     started = time.perf_counter()
-    if rule.kind == TS:
-        if args.certify:
-            raise InputError("certificates are not available under ts")
-        yes = reach_ts(g, inst.start, inst.target)
-        answer = None
-    else:
-        answer = (reach_tar(g, rule.k, inst.start, inst.target) if rule.kind == TAR
-                  else reach_tj(g, inst.start, inst.target))
-        yes = answer.reachable
+    yes, answer = _decide(inst.rule, inst.graph, inst.start, inst.target)
     out = {"answer": "yes" if yes else "no",
-           "stats": _run_stats(g, started)}
+           "stats": _run_stats(inst.graph, started)}
     if args.certify and yes:
         seq = answer.certificate
-        final = verify_sequence(g, seq)
-        if final != inst.target:
-            raise InternalError("certificate does not end at the target set")
         out["sequence_rule"] = {"rule": seq.rule.kind, "k": seq.rule.k}
-        out["sequence"] = _sequence_json(seq)
-    _emit(out, args.json)
-    return 0
+        out["sequence"] = _certified(inst.graph, seq, inst.target)
+    return out
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     inst = _load_instance(args)
     try:
         payload = json.loads(_read(args.sequence))
@@ -192,32 +181,29 @@ def cmd_verify(args) -> int:
     try:
         final = verify_sequence(inst.graph, seq)
     except SequenceError as exc:
-        _emit({"answer": "invalid", "index": exc.index, "reason": exc.reason,
-               "stats": _run_stats(inst.graph, started, skip_width=True)}, args.json)
-        return 0
+        return {"answer": "invalid", "index": exc.index, "reason": exc.reason,
+                "stats": _run_stats(inst.graph, started, skip_width=True)}
     ok = final == inst.target
-    _emit({
+    return {
         "answer": "valid" if ok else "invalid",
         "final": sorted(final),
         "matches_target": ok,
         "stats": _run_stats(inst.graph, started, skip_width=True),
-    }, args.json)
-    return 0
+    }
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> dict:
     inst = _load_instance(args)
     started = time.perf_counter()
     yes = oracle_reach(inst.rule, inst.graph, inst.start, inst.target)
-    _emit({"answer": "yes" if yes else "no",
-           "stats": _run_stats(inst.graph, started, skip_width=True)}, args.json)
-    return 0
+    return {"answer": "yes" if yes else "no",
+            "stats": _run_stats(inst.graph, started, skip_width=True)}
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> dict:
     profile = _parse_profile(args.profile)
     g, s, t, k = gen_instance(args.seed, profile)
-    rule = Rule.tar(k) if profile.rule == TAR else Rule(profile.rule)
+    rule = Rule(profile.rule, k)
     graph_path = Path(str(args.out) + ".gr")
     sidecar_path = Path(str(graph_path) + ".json")
     for path, text in ((graph_path, emit_graph(g)), (sidecar_path, sidecar_json(rule, s, t))):
@@ -225,7 +211,7 @@ def cmd_gen(args) -> int:
             path.write_text(text)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc}") from None
-    _emit({
+    return {
         "answer": "ok",
         "graph": str(graph_path),
         "sidecar": str(sidecar_path),
@@ -235,25 +221,19 @@ def cmd_gen(args) -> int:
         "k": k,
         "start_size": len(s),
         "target_size": len(t),
-    }, args.json)
-    return 0
+    }
 
 
 def _bench_one(task: tuple[int, str, int | None]) -> dict:
     seed, profile_text, cap = task
     profile = _parse_profile(profile_text)
     g, s, t, k = gen_instance(seed, profile)
+    rule = Rule(profile.rule, k)
     stats.reset()
     solver_started = time.perf_counter()
-    if profile.rule == TAR:
-        answer = reach_tar(g, k, s, t).reachable
-    elif profile.rule == TJ:
-        answer = reach_tj(g, s, t).reachable
-    else:
-        answer = reach_ts(g, s, t)
+    answer = _decide(rule, g, s, t)[0]
     solver_ms = (time.perf_counter() - solver_started) * 1000
     oracle_ms = ""
-    rule = Rule.tar(k) if profile.rule == TAR else Rule(profile.rule)
     if g.n <= (cap if cap is not None else oracle_cap()):
         oracle_started = time.perf_counter()
         oracle_answer = oracle_reach(rule, g, s, t, cap=cap)
@@ -273,7 +253,7 @@ def _bench_one(task: tuple[int, str, int | None]) -> dict:
     }
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     try:
         first, _, last = args.seeds.partition(":")
         seeds = range(int(first), int(last))
@@ -293,7 +273,6 @@ def cmd_bench(args) -> int:
     print(",".join(header))
     for row in rows:
         print(",".join(str(row[h]) for h in header))
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -365,7 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     stats.reset()
     try:
-        code = args.fn(args)
+        out = args.fn(args)
+        if out is not None:
+            _emit(out, args.json)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except (InputError, OracleCapError) as exc:
         print(json.dumps({"answer": "error", "error": str(exc)}), file=sys.stderr)
@@ -377,8 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader stopped reading (say, `| head`) after the run completed;
         # stdout goes to devnull so that the exit-time flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    return code
+    return 0
 
 
 if __name__ == "__main__":

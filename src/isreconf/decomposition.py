@@ -96,17 +96,22 @@ class TwinClass:
 
 def is_module(g: Graph, module: frozenset[int] | set[int]) -> bool:
     """True iff every member has the same neighbors outside the set."""
+    return _is_module_mask(g, _nonempty_mask(g, module))
+
+
+def _nonempty_mask(g: Graph, module) -> int:
     m = g._mask(module)
     if m == 0:
         raise InputError("a module must be nonempty")
-    return _is_module_mask(g, m)
+    return m
 
 
 def _module_mask(g: Graph, module) -> int:
     """Position mask of a caller's module; InputError unless it is one."""
-    if not is_module(g, module):
+    m = _nonempty_mask(g, module)
+    if not _is_module_mask(g, m):
         raise InputError("given set is not a module")
-    return g._mask(module)
+    return m
 
 
 def _is_module_mask(g: Graph, m: int) -> bool:

@@ -218,6 +218,14 @@ def test_lambda_zero_floor_is_alpha(tmp_path, capsys):
     assert json.loads(out)["size"] == 2
 
 
+def test_lambda_under_tj_is_input_error(tmp_path, capsys):
+    gpath = write_instance(tmp_path, path_graph([1, 2, 3]),
+                           {"rule": "tar", "k": 1, "start": [1], "target": [3]})
+    code, out, err = run(capsys, "lambda", gpath, "--rule", "tj", "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"answer": "error", "error": "lambda is defined for rule tar only"}
+
+
 def test_alpha_and_decompose(tmp_path, capsys):
     gpath = write_instance(tmp_path, cycle_graph([1, 2, 3, 4]), {})
     code, out, _ = run(capsys, "alpha", gpath, "--json")
@@ -282,21 +290,40 @@ def test_gen_then_solve(tmp_path, capsys):
 
 
 def test_bench_csv_schema(capsys):
-    code, out, _ = run(capsys, "bench", "--seeds", "0:3",
-                       "--profile", "n=10,width=3,rule=tar")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "instance_id,n,m,width,rule,k,answer,solver_ms,oracle_ms"
-    assert len(lines) == 4
-    for row in lines[1:]:
-        fields = row.split(",")
-        assert fields[6] in ("yes", "no")
-        assert fields[8] != ""   # oracle ran at n=10
+    for rule in ("tar", "tj"):
+        code, out, _ = run(capsys, "bench", "--seeds", "0:3",
+                           "--profile", f"n=10,width=3,rule={rule}")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "instance_id,n,m,width,rule,k,answer,solver_ms,oracle_ms"
+        assert len(lines) == 4
+        for row in lines[1:]:
+            fields = row.split(",")
+            assert fields[4] == rule
+            assert (fields[5] == "") == (rule == "tj")   # TJ carries no threshold
+            assert fields[6] in ("yes", "no")
+            assert fields[8] != ""   # oracle ran at n=10
+
+
+def test_bench_exits_3_when_the_oracle_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "oracle_reach", lambda *args, **kwargs: None)
+    code, out, err = run(capsys, "bench", "--seeds", "0:2", "--profile", "n=9,width=3,rule=tar")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"answer": "error",
+                               "error": "internal: seed 0: solver disagrees with the oracle"}
 
 
 def test_bad_profile_and_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--seed", "1", "--profile", "oops")
     assert code == 2
+    code, out, err = run(capsys, "gen", "--seed", "1", "--profile", "n=10,depth=2",
+                         "--out", str(tmp_path / "x"))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "unknown profile keys: ['depth']"
+    assert not (tmp_path / "x.gr").exists()
+    code, out, err = run(capsys, "bench", "--seeds", "5", "--profile", "n=10,width=3")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "--seeds must look like 0:20: '5'"
     code, _, err = run(capsys, "solve", str(tmp_path / "nope.gr"), "--json")
     assert code == 2
     code, _, err = run(capsys, "gen", "--seed", "1", "--profile", "n=10",
@@ -313,6 +340,10 @@ def test_bad_profile_and_missing_file(tmp_path, capsys):
     seq_path.write_text(deep)
     code, _, err = run(capsys, "verify", gpath, "--sequence", str(seq_path))
     assert code == 2 and json.loads(err)["answer"] == "error"
+    seq_path.write_text(json.dumps({"op": "add", "v": 3}))
+    code, out, err = run(capsys, "verify", gpath, "--sequence", str(seq_path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "sequence file must be a JSON array of moves"
     (tmp_path / "inst.gr.json").write_text(deep)
     code, _, err = run(capsys, "solve", gpath)
     assert code == 2 and json.loads(err)["answer"] == "error"

@@ -40,6 +40,18 @@ def test_is_module_empty_errors():
         is_module(path_graph([1, 2]), set())
 
 
+def test_lemma_module_checks_run_in_order():
+    # an unknown vertex, then an empty set, then a set that is not a module
+    g = path_graph([1, 2, 3])
+    with pytest.raises(InputError, match="vertex"):
+        decomposition._module_mask(g, {1, 9})
+    with pytest.raises(InputError, match="nonempty"):
+        decomposition._module_mask(g, set())
+    with pytest.raises(InputError, match="not a module"):
+        decomposition._module_mask(g, {1, 2})
+    assert decomposition._module_mask(g, {1, 3}) == g._mask({1, 3})
+
+
 def test_md_tree_shapes():
     kn = md_tree(complete_graph(5))
     assert kn.kind == "series" and len(kn.children) == 5

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from isreconf import (InputError, Move, ReconfSequence, Rule, RuleViolation,
                       SequenceError, step_valid, tj_threshold, verify_sequence)
+from isreconf.moveseq import MoveRope
 from isreconf.rules import TAR, TJ, TS
 
 from helpers import cycle_graph, graph_with_set, graphs, path_graph, random_independent_set
@@ -182,6 +183,19 @@ def test_reversed_tar_walks_verify(pair, seed):
     moves, final = _random_walk(rng, g, s, Rule.tar(k), 8)
     back = tuple(m.reversed() for m in reversed(moves))
     assert verify_sequence(g, ReconfSequence(Rule.tar(k), final, back)) == s
+
+
+def test_reversed_rope_of_jumps_and_slides_replays_back():
+    # a reversed jump or slide runs from its target back to its source
+    g = path_graph([1, 2, 3, 4])
+    slides = MoveRope.leaf([Move.slide(1, 2), Move.slide(2, 3)])
+    back = MoveRope.rev(slides).flatten()
+    assert back == (Move.slide(3, 2), Move.slide(2, 1))
+    assert verify_sequence(g, ReconfSequence(Rule.ts(), frozenset({3}), back)) == {1}
+    jumps = MoveRope.cat(MoveRope.leaf([Move.jump(3, 4)]), MoveRope.leaf([Move.jump(1, 2)]))
+    back = MoveRope.rev(jumps).flatten()
+    assert back == (Move.jump(2, 1), Move.jump(4, 3))
+    assert verify_sequence(g, ReconfSequence(Rule.tj(), frozenset({2, 4}), back)) == {1, 3}
 
 
 @settings(max_examples=60, deadline=None)

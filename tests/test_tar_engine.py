@@ -66,6 +66,8 @@ def test_shrink_validates_preconditions():
         shrink_module(g, {1}, {1, 2, 3}, {1})      # witness not maximum
     with pytest.raises(InputError):
         shrink_module(g, {1}, {1, 2}, {1})         # not a module
+    with pytest.raises(InputError, match="independent subset"):
+        shrink_module(g, {1}, {1, 2, 3}, {1, 2})   # witness not independent
 
 
 def tables_for(g, parts, seed):
@@ -108,6 +110,12 @@ def test_lambda_step_rejects_bad_input():
         lambda_step(g, 1, {1, 3}, [frozenset({1, 2}), frozenset({3, 4})], tables)
     with pytest.raises(InputError):
         lambda_step(g, 1, {1, 3}, parts, [dict(), dict()])
+    with pytest.raises(InputError, match="one table per part"):
+        lambda_step(g, 1, {1, 3}, parts, tables[:1])
+    with pytest.raises(InputError, match="disjoint"):
+        lambda_step(g, 1, {1, 3}, [frozenset({1, 3}), frozenset({2, 3, 4})], tables)
+    with pytest.raises(InputError, match="cover"):
+        lambda_step(g, 1, {1, 3}, [frozenset({1, 3}), frozenset({2})], tables)
 
 
 def test_lambda_all_star():

@@ -118,6 +118,18 @@ def test_reach_tar_validates():
         reach_tar(g, 0, {1, 2}, {3})
 
 
+def test_component_token_counts_that_differ_after_normalisation_are_a_no():
+    # two P3 components; at floor 3 neither side can move, and the first
+    # component holds two start tokens but one target token
+    g = Graph(range(1, 7), [(1, 2), (2, 3), (4, 5), (5, 6)])
+    s, t = {1, 3, 5}, {2, 4, 6}
+    assert not reach_tar(g, 3, s, t).reachable
+    assert not oracle_reach(Rule.tar(3), g, s, t)
+    # at floor 2 both sides normalise to {1, 3, 4, 6}
+    check_yes(g, reach_tar(g, 2, s, t), s, t, 2)
+    assert oracle_reach(Rule.tar(2), g, s, t)
+
+
 def test_reach_tj_basics():
     g = path_graph([1, 2, 3])
     assert not reach_tj(g, {1, 3}, {2}).reachable

@@ -83,6 +83,14 @@ def test_ts_shrink_validates():
         ts_shrink(g, {1, 3}, {1, 3}, {1, 3})
 
 
+def test_ts_lemmas_refuse_sides_of_different_sizes():
+    g = path_graph([1, 2, 3])
+    with pytest.raises(InputError, match="same number of tokens"):
+        ts_shrink(g, {1}, {1, 3}, {2})
+    with pytest.raises(InputError, match="equal size"):
+        ts_aux_decide(TsReduction(g, frozenset({1}), frozenset({1, 3}), ()))
+
+
 def test_ts_lemmas_refuse_dependent_token_sets():
     # both sides are edges of g; {1, 2} is a module (each sees only 3 outside)
     g = Graph([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
