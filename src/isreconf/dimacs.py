@@ -22,26 +22,49 @@ def parse_graph(text: str) -> Graph:
 
     Vertex IDs are 1-based; duplicate edges are merged; self-loops and
     out-of-range endpoints are rejected with the offending line number.
-    One pass over chunks cut after a newline, one line each up to the
-    problem line and about 64K characters after it: a chunk of nothing but
-    plain `e <u> <v>` lines is split once, its IDs looked up and
-    range-checked and its self-loops checked in bulk; any other chunk (a
-    header line, comments, blank lines, other line ends, a bad line) goes
-    line by line, with the same messages and line numbers.  The first chunk
-    after the problem line decides once whether the input is dense: at its
-    characters per line, the text left holds at least n² / 16 edges.  A
-    dense input's bulk chunks OR each edge into the first endpoint's row
-    only, and `_transpose_into` fills in the other half at the end; the
-    line-by-line chunks OR both ways, and the closure is the same either
-    way.  Memory beyond the text is the adjacency masks, one chunk and an
-    index from ID text to position, the size of the graph's own ID index.
-    The estimate is at most the text's length, so a dense input has n² at
-    most 16 times that, which bounds the transpose's work and strings.
+    `_read_chunks` reads the text once, taking plain edge chunks in bulk.
+    On a dense input, `_transpose_into` then fills in the half of adj that
+    the bulk chunks skip, and one look down the diagonal finds any
+    self-loop they took.  A self-loop there, or an `InputError` from the
+    first pass, sends the text through `_read_chunks` again with every
+    chunk read line by line, so the first bad line raises with the same
+    message and line number as in a plain line-by-line parse.  The rerun
+    also holds one chunk at a time, never the text's whole line list.
+    """
+    try:
+        n, adj, dense = _read_chunks(text, bulk=True)
+        if dense:
+            _transpose_into(adj, n)
+            if any(row >> p & 1 for p, row in enumerate(adj)):
+                raise InputError("self-loop in a bulk chunk")
+    except InputError:          # the rerun raises the first error, with its line
+        n, adj, _ = _read_chunks(text, bulk=False)
+    return Graph._from_adj(list(range(1, n + 1)), adj)
+
+
+def _read_chunks(text: str, bulk: bool) -> tuple[int, list[int], bool]:
+    """One pass over text in chunks; returns (n, adj, whether the input is dense).
+
+    Chunks are cut after a newline, one line each up to the problem line
+    and about 64K characters after it.  With `bulk`, `_plain_edges` takes a
+    chunk of nothing but plain `e <u> <v>` lines at once; any other chunk
+    (a header line, comments, blank lines, other line ends, a bad line)
+    goes line by line, with the same messages and line numbers.  The first
+    chunk after the problem line decides once whether the input is dense:
+    at its characters per line, the text left holds at least n² / 16
+    edges.  A dense input's bulk chunks OR each edge into the first
+    endpoint's row only, and the caller symmetrizes adj; the line-by-line
+    chunks OR both ways, and the closure is the same either way.  Memory
+    beyond the text is the adjacency masks, one chunk, an index from ID
+    text to position, the size of the graph's own ID index, and on a dense
+    input a table from ID text to bit, n² / 16 bytes.  The estimate is at
+    most the text's length, so a dense input has n² at most 16 times that,
+    which bounds the bit table and the transpose's work and strings.
     """
     n = None
     adj: list[int] = []
     position = None             # "1".."n" -> 0..n-1, built for the first chunk after the header
-    dense = False               # bulk chunks OR one way; _transpose_into fills in the other
+    bit = None                  # "1".."n" -> 1 << 0..n-1, on a dense input only
     lineno = 0
     end = len(text)
     start = 0
@@ -49,13 +72,14 @@ def parse_graph(text: str) -> Graph:
         cut = text.find("\n", start if n is None else start + _CHUNK_CHARS - 1) + 1 or end
         chunk = text[start:cut]
         start = cut
-        if n is not None:
+        if bulk and n is not None:
             count = chunk.count("\n") + (chunk[-1] != "\n")
             if position is None:
                 position = {str(v): v - 1 for v in range(1, n + 1)}
                 # edges left, at this chunk's characters per line, against n² / 16
-                dense = 16 * (end - cut + len(chunk)) * count >= n * n * len(chunk)
-            if _plain_edges(chunk, count, position, adj, dense):
+                if 16 * (end - cut + len(chunk)) * count >= n * n * len(chunk):
+                    bit = {key: 1 << p for key, p in position.items()}
+            if _plain_edges(chunk, count, position, adj, bit):
                 lineno += count
                 continue
         lines = chunk.splitlines()
@@ -63,24 +87,27 @@ def parse_graph(text: str) -> Graph:
         lineno += len(lines)
     if n is None:
         raise InputError("missing problem line 'p edge <n> <m>'")
-    del position                # before the graph builds its own ID index
-    if dense:
-        _transpose_into(adj, n)
-    return Graph._from_adj(list(range(1, n + 1)), adj)
+    return n, adj, bit is not None
 
 
 def _plain_edges(chunk: str, count: int, position: dict[str, int], adj: list[int],
-                 one_way: bool) -> bool:
-    """OR a chunk of `count` plain `e <u> <v>` lines with distinct ends into adj.
+                 bit: dict[str, int] | None) -> bool:
+    """OR a chunk of `count` plain `e <u> <v>` lines into adj, or return False.
 
     `position` maps each vertex ID, written in decimal, to its 0-based
-    position.  With `one_way` only u's row gets the edge, and the caller
-    symmetrizes adj after.  Returns False, with adj untouched, for any
-    other chunk.  Only the bytes `e`, digits, space, tab and newline, every
+    position.  Only the bytes `e`, digits, space, tab and newline, every
     line starting with `e`, three tokens a line, every third token `e` and
     the others vertex IDs make each line exactly one `e` and two IDs
     between blanks, which the line-by-line parser reads the same way.  An
     ID with a leading zero is not a key, so its chunk goes line by line.
+
+    Without `bit`, adj is untouched unless every ID is a key and no line is
+    a self-loop; then each edge goes into both rows.  With `bit`, which
+    maps each ID to its position's bit, one loop ORs each edge into u's row
+    only, self-loops included, and the caller symmetrizes adj and looks
+    for self-loops on its diagonal.  An ID that is not a key stops the loop
+    part-way and returns False; adj then holds some edges of this chunk's
+    own lines, which the line-by-line parser ORs in again or rejects.
     """
     # isascii first: encode() would raise on a lone surrogate
     if (not chunk.isascii() or chunk.encode().translate(None, _PLAIN_BYTES)
@@ -90,16 +117,17 @@ def _plain_edges(chunk: str, count: int, position: dict[str, int], adj: list[int
     if len(toks) != 3 * count or toks[::3].count("e") != count:
         return False
     try:
+        if bit is not None:
+            tok = iter(toks)
+            for _, u, v in zip(tok, tok, tok):
+                adj[position[u]] |= bit[v]
+            return True
         us = list(map(position.__getitem__, toks[1::3]))
         vs = list(map(position.__getitem__, toks[2::3]))
     except KeyError:            # out of range, a leading zero or an `e` out of place
         return False
     if any(map(operator.eq, us, vs)):
         return False
-    if one_way:
-        for u, v in zip(us, vs):
-            adj[u] |= 1 << v
-        return True
     for u, v in zip(us, vs):
         adj[u] |= 1 << v
         adj[v] |= 1 << u

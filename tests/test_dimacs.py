@@ -7,7 +7,11 @@ adjacency masks) or raises the same ``InputError`` message, line number
 included, on hypothesis texts and on fixed texts, with chunks cut after
 every line, every few characters and at the default size.  More tests
 check that a plain edge list is taken in bulk, that only dense inputs
-take the one-way ORs and the transpose, and that parsing holds no more
+take the one-way ORs and the transpose, that on a dense text a self-loop
+taken in bulk still raises first, with its own line number, whether the
+diagonal check finds it or a later bad line sends the text through the
+line-by-line rerun, that a bulk chunk stopped part-way by an ID that is
+not a key still parses to the same graph, and that parsing holds no more
 memory than the earlier parsers did: ``bulk_parse_graph`` is a verbatim
 copy of the chunked parser that ORed every edge both ways, its helpers
 named through ``dimacs``.
@@ -440,6 +444,33 @@ def test_dense_text_with_odd_lines_matches_the_line_parser():
             assert_parity(text, sizes=(size,))
         assert calls == [g.n]
     assert dimacs.parse_graph(text)._adj == g._adj
+
+
+LOOP = "e 7 7\n"
+
+
+@pytest.mark.parametrize("late, transposed", [
+    # a self-loop taken in bulk, then a chunk that raises: the rerun puts the loop first
+    ({6: LOOP, 8: "e 1 601\n"}, []),
+    # a lone self-loop taken in bulk, found on the diagonal after the transpose
+    ({9: LOOP}, [600]),
+    # an ID that is not a key stops a bulk chunk part-way; it goes line by line
+    ({7: "e 05 3\n"}, [600]),
+])
+def test_late_lines_in_a_dense_text_match_the_line_parser(late, transposed):
+    g, edges = dense_edges(2)
+    lines = [f"e {u} {v}\n" for u, v in edges]
+    for tenth in sorted(late, reverse=True):
+        lines.insert(len(lines) * tenth // 10, late[tenth])
+    text = f"p edge {g.n} {len(edges)}\n" + "".join(lines)
+    want = outcome(parse_graph, text)
+    if LOOP in lines:
+        assert want == ("error", f"line {lines.index(LOOP) + 2}: self-loop at vertex 7")
+    else:
+        assert want[2] == Graph(range(1, g.n + 1), edges + [(5, 3)])._adj
+    with transposes() as calls:
+        assert_parity(text, sizes=(dimacs._CHUNK_CHARS,))
+    assert calls == transposed
 
 
 def test_dense_parse_memory_stays_at_the_two_way_parser():
