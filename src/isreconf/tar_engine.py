@@ -11,7 +11,8 @@ maps a threshold to ``(reached mask, rope)``, and vertex-ID sets are built
 only where a public function returns.  The rule loop is a generator
 recursion on ``decomposition._run``, the one trampoline: it reads a table
 entry by yielding the table's reader for that threshold, so the tables of
-a decomposition are filled without nesting calls per level.
+a decomposition are filled without nesting calls per level.  ``_fill``
+keeps every entry of one public call in one store, so each is filled once.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ class EngineState:
 
 def _entry(g: Graph, table: Mapping[int, LambdaResult], i: int, pm: int,
            j: int) -> Generator[None, None, tuple[int, MoveRope]]:
-    """A caller's table for part ``i`` (mask ``pm``) read at ``j`` like a solver's, entry checked."""
+    """A caller's table for part ``i`` (mask ``pm``) read at ``j`` like ``_fill``, entry checked."""
     try:
         e = table[j]
     except (LookupError, TypeError):  # TypeError: no table for a part meeting the seed
@@ -285,7 +286,7 @@ def _entry(g: Graph, table: Mapping[int, LambdaResult], i: int, pm: int,
     if rmask & ~pm:
         raise InputError(f"table entry for part {i} leaves the part")
     return rmask, e._rope
-    yield  # a generator, so the rule loop reads it as it reads a solver's table
+    yield  # a generator, so the rule loop reads it as it reads ``_fill``
 
 
 def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
@@ -395,50 +396,43 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
     return st.r, st.rope
 
 
-class _Solver:
-    """The table of ``g`` for a seed mask, each threshold solved on first request."""
+def _fill(memo: dict[tuple, tuple], check: bool, g: Graph, seed: int, j: int) -> Generator:
+    """The entry of ``g``'s table for a seed mask at threshold ``j``, filled on the trampoline.
 
-    __slots__ = ("g", "seed", "check", "cache", "parts")
-
-    def __init__(self, g: Graph, seed: int, check: bool = False):
-        self.g, self.seed, self.check = g, seed, check
-        self.cache: dict[int, tuple[int, MoveRope]] = {}
-        self.parts = False             # ``_root_tables``, built on first use
-
-    def __call__(self, j: int) -> tuple[int, MoveRope]:
-        return _run(self.read(j))
-
-    def read(self, j: int) -> Generator:
-        """The entry at threshold ``j``: cached, or filled on the trampoline."""
-        if j in self.cache:
-            return self.cache[j]
-        g, seed = self.g, self.seed
-        if j == 0:
-            _, w = _alpha_mask(g)
-            hit = w, MoveRope.cat(removes(g._ids(seed & ~w)), adds(g._ids(w & ~seed)))
-        else:
-            if self.parts is False:
-                self.parts = _root_tables(g, seed, self.check)
-            if self.parts is None:
-                hit = _class_search(g, j, seed)
-            else:
-                hit = yield from _lambda_step_raw(g, j, seed, *self.parts, self.check)
-        self.cache[j] = hit
+    ``memo`` is the one table store of a public call, keyed by vertex mask,
+    seed and threshold: every graph in a call is a view of one root, and a
+    table depends on nothing else, so each entry is filled once per call
+    however many parents read it.  Under the key without the threshold it
+    keeps the table's root parts, their readers and alphas, or ``()`` when
+    the class search fills the table.  ``check`` is the call's too; it
+    comes before the key so that a part's reader binds it positionally (a
+    keyword in a ``partial`` builds a dict per read).
+    """
+    key = g._vmask, seed, j
+    hit = memo.get(key)
+    if hit is not None:
         return hit
-
-
-def _root_tables(g: Graph, seed: int, check: bool
-                 ) -> tuple[list[int], list[Callable | None], list[tuple[int, int]]] | None:
-    """Root parts, their tables and alphas; None when the class search should run."""
-    if g.n <= 2:
-        return None
-    _, part_masks = _root_child_masks(g)
-    if all(pm.bit_count() == 1 for pm in part_masks):
-        return None
-    subs = [g._derive(pm) for pm in part_masks]
-    tables = [_Solver(sub, seed & pm, check).read if seed & pm else None
-              for sub, pm in zip(subs, part_masks)]
-    return part_masks, tables, [_alpha_mask(sub) for sub in subs]
+    if j == 0:
+        _, w = _alpha_mask(g)
+        hit = w, MoveRope.cat(removes(g._ids(seed & ~w)), adds(g._ids(w & ~seed)))
+    else:
+        parts = memo.get(key[:2])
+        if parts is None:
+            part_masks = _root_child_masks(g)[1] if g.n > 2 else []
+            parts = ()
+            if not all(pm.bit_count() == 1 for pm in part_masks):
+                subs = [g._derive(pm) for pm in part_masks]
+                parts = (part_masks,
+                         [partial(_fill, memo, check, sub, seed & pm) if seed & pm else None
+                          for sub, pm in zip(subs, part_masks)],
+                         [_alpha_mask(sub) for sub in subs])
+            memo[key[:2]] = parts
+        if parts:
+            hit = yield from _lambda_step_raw(g, j, seed, *parts, check)
+        else:
+            hit = _class_search(g, j, seed)
+    memo[key] = hit
+    return hit
 
 
 def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
@@ -450,7 +444,7 @@ def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
     the table must answer every threshold up to the seed slice size.
     Tables are checked in one place, as the rule loop reads an entry: it
     must be a ``LambdaResult`` whose size matches its set, inside its
-    part.  The solvers' own tables skip that check and the set round trip.
+    part.  The engine's own tables skip that check and the set round trip.
     """
     seed = frozenset(seed)
     smask = _seed_mask(g, seed)
@@ -483,11 +477,12 @@ def lambda_single(g: Graph, seed, k: int, *, check: bool = False) -> LambdaResul
     smask = _seed_mask(g, seed)
     if k < 0 or k > len(seed):
         raise InputError(f"floor {k} outside [0, {len(seed)}]")
-    return _result(g, seed, k, _Solver(g, smask, check)(k))
+    return _result(g, seed, k, _run(_fill({}, check, g, smask, k)))
 
 
 def lambda_all(g: Graph, seed, *, check: bool = False) -> dict[int, LambdaResult]:
     """Table of largest reachable sets for every floor from 1 to |seed|."""
     seed = frozenset(seed)
-    solve = _Solver(g, _seed_mask(g, seed), check)
-    return {j: _result(g, seed, j, solve(j)) for j in range(1, len(seed) + 1)}
+    smask, memo = _seed_mask(g, seed), {}
+    return {j: _result(g, seed, j, _run(_fill(memo, check, g, smask, j)))
+            for j in range(1, len(seed) + 1)}

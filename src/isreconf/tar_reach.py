@@ -24,7 +24,7 @@ from .graph import Graph
 from .mis import _alpha_mask, alpha
 from .moveseq import EMPTY, MoveRope, adds, removes
 from .rules import ReconfSequence, Rule, tj_threshold
-from .tar_engine import _class_search, _Solver, _seed_mask
+from .tar_engine import _class_search, _fill, _seed_mask
 
 
 class ReachAnswer:
@@ -52,30 +52,18 @@ class ReachAnswer:
         return f"ReachAnswer({'yes' if self.reachable else 'no'}{tail})"
 
 
-def _solver(solvers: dict[tuple[int, int], _Solver], g: Graph, seed: int) -> _Solver:
-    """The one solver of a reach call for ``g``'s vertex set and ``seed``.
-
-    Every graph in one call is a view of one root, and a table depends
-    only on the vertex set and the seed, so the vertex mask is the key.
-    """
-    key = g._vmask, seed
-    solver = solvers.get(key)
-    if solver is None:
-        solver = solvers[key] = _Solver(g, seed)
-    return solver
-
-
 def _empty_module_rope(g: Graph, seed: int, module: int, k: int,
-                       solvers: dict[tuple[int, int], _Solver]) -> tuple[int, MoveRope] | None:
+                       memo: dict) -> tuple[int, MoveRope] | None:
     """Vacate a module: the largest set reachable without its fence, minus the module.
 
-    The table is taken from ``solvers``, the reach call's solvers, so the
-    disconnected normalisation that follows a fence deletion reads it
+    The table entry is read from ``memo``, the reach call's table store, so
+    the disconnected normalisation that follows a fence deletion reads it
     instead of filling it again.
     """
     if not seed & module:
         return seed, EMPTY
-    reached, rope = _solver(solvers, g._derive(g._vmask & ~_fence(g, module)), seed)(max(k, 0))
+    h = g._derive(g._vmask & ~_fence(g, module))
+    reached, rope = _run(_fill(memo, False, h, seed, max(k, 0)))
     if (reached & ~module).bit_count() < k:
         return None
     return reached & ~module, MoveRope.cat(rope, removes(g._ids(reached & module)))
@@ -156,15 +144,15 @@ def _reach_tar(g: Graph, k: int, s: int, t: int, classes: bool = False) -> MoveR
     return _run(_tar(g, k, s, t, classes, {}))
 
 
-def _tar(g: Graph, k: int, s: int, t: int, classes: bool,
-         solvers: dict[tuple[int, int], _Solver]) -> Generator:
+def _tar(g: Graph, k: int, s: int, t: int, classes: bool, memo: dict) -> Generator:
     """The TAR decision as a recursion on ``_run``: a rope from ``s`` to ``t``, or None.
 
     A module step fails or wraps a smaller instance's rope between its own
     prefix and ``rev(rt)``.  Components are decided in order, each after a
-    check of its token counts.  The call's solvers share one dict, keyed by
-    vertex mask and seed: the normalisation after a fence deletion reads
-    the table that the vacating attempt filled on that vertex set.
+    check of its token counts.  The call's table entries share one store,
+    ``memo``, keyed by vertex mask, seed and threshold: the normalisation
+    after a fence deletion reads the entry that the vacating attempt filled
+    on that vertex set, and each entry of any module's table is filled once.
     """
     if k <= 0:  # no effective floor: tear down one side and build the other
         return MoveRope.cat(removes(g._ids(s & ~t)), adds(g._ids(t & ~s)))
@@ -180,8 +168,8 @@ def _tar(g: Graph, k: int, s: int, t: int, classes: bool,
         kind, part_masks = _root_child_masks(g)
         if kind == "parallel":
             # normalized to largest reachable sets, components keep their token counts
-            s2, rs = _solver(solvers, g, s)(k)
-            t2, rt = _solver(solvers, g, t)(k)
+            s2, rs = yield _fill(memo, False, g, s, k)
+            t2, rt = yield _fill(memo, False, g, t, k)
             size = s2.bit_count()
             if size != t2.bit_count():
                 return None
@@ -190,17 +178,17 @@ def _tar(g: Graph, k: int, s: int, t: int, classes: bool,
                 sc, tc = s2 & cm, t2 & cm
                 if sc.bit_count() != tc.bit_count():
                     return None
-                sub = yield _tar(g._derive(cm), k - (size - sc.bit_count()), sc, tc, False, solvers)
+                sub = yield _tar(g._derive(cm), k - (size - sc.bit_count()), sc, tc, False, memo)
                 if sub is None:
                     return None
                 rope = MoveRope.cat(rope, sub)
             return MoveRope.cat(rope, MoveRope.rev(rt))
         pm = next((pm for pm in part_masks if not g._independent(pm)), None)
         if pm is None:
-            return (yield _tar(g, k, s, t, True, solvers))
+            return (yield _tar(g, k, s, t, True, memo))
 
-    es = _empty_module_rope(g, s, pm, k, solvers)
-    et = _empty_module_rope(g, t, pm, k, solvers)
+    es = _empty_module_rope(g, s, pm, k, memo)
+    et = _empty_module_rope(g, t, pm, k, memo)
     if (es is None) != (et is None):
         return None
     rs = rt = EMPTY
@@ -222,7 +210,7 @@ def _tar(g: Graph, k: int, s: int, t: int, classes: bool,
     g2 = _drop(g, dead)
     if g2.n >= g.n:
         raise InternalError("a module step failed to shrink the graph")
-    sub = yield _tar(g2, k, s2, t2, classes, solvers)
+    sub = yield _tar(g2, k, s2, t2, classes, memo)
     return None if sub is None else MoveRope.cat(MoveRope.cat(rs, sub), MoveRope.rev(rt))
 
 

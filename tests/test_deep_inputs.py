@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 
 from isreconf import (Graph, alpha, lambda_all, lambda_single, md_tree, modular_width, reach_nd,
-                      reach_tar, reach_tj, reach_ts, top_partition)
+                      reach_tar, reach_tj, reach_ts, stats, top_partition)
 from isreconf.cli import main
 from isreconf.decomposition import _run
 from isreconf.dimacs import emit_graph
@@ -201,6 +201,25 @@ def test_trampoline_runs_a_deep_recursion_and_passes_its_errors_up():
     assert under_caller_limit(_run, descend(20000)) == 20000
     with pytest.raises(Bottom, match="at the bottom"):
         under_caller_limit(_run, descend(20000, fail=True))
+
+
+def staircase_counts(m):
+    """``reach_tar`` on ``staircase(m)`` at floor m - 1: answer, moves and the run counters."""
+    g, s, t = staircase(m)
+    stats.reset()
+    got = answer(reach_tar(g, m - 1, s, t))
+    return got, stats.get("rule_applications"), stats.get("nodes_deleted")
+
+
+def test_staircase_tables_fill_once_per_call():
+    # each module's table entry is filled once per reach call, so doubling m
+    # about doubles the rule applications (10m - 16) and quadruples the
+    # deletions; a table filled again for every parent grows them as m^2
+    # and m^3 (4602 -> 18802 rule applications from m = 40 to 80)
+    (small, rules40, dead40), (large, rules80, dead80) = map(staircase_counts, (40, 80))
+    assert small == large == (True, 2)
+    assert rules80 <= 2.1 * rules40
+    assert dead80 <= 4.2 * dead40
 
 
 def tree_json(node):

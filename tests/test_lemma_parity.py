@@ -7,7 +7,10 @@ The functions below the imports are verbatim copies of the earlier
 its own class-union search or inline module shrink.  The tests assert that
 the current functions give the same sizes, reached sets, flattened moves
 and ``nodes_deleted`` counts, or the same exception, on hypothesis graphs
-with n <= 8 under every floor and on generated instances.  The lemma
+with n <= 8 under every floor and on generated instances.  The one
+exception is ``_reach_nd``'s count: the copy fills a fresh table on every
+level, the current code fills each table entry once per call, so its
+count may be lower but never higher.  The lemma
 functions now also reject an unknown or dependent seed, start or target;
 on those inputs only an ``InputError`` is required.
 """
@@ -357,7 +360,11 @@ def check_instance(g, s, t):
         for k in range(-1, len(seed) + 2):
             assert outcome(isreconf.lambda_nd, g, seed, k) == outcome(lambda_nd, g, seed, k)
     for k in range(1, min(len(s), len(t)) + 1):
-        assert outcome(nd_rope, g, k, s, t) == outcome(_reach_nd, g, k, s, t)
+        new, old = outcome(nd_rope, g, k, s, t), outcome(_reach_nd, g, k, s, t)
+        assert new[:2] == old[:2]
+        # the copy fills a fresh table per level, the current code once per
+        # call, so it may delete fewer nodes but never more
+        assert new[2] <= old[2] if new[0] == "returns" else new == old
     now = lambda_table(g, s)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tar_engine, "_class_search", class_search_via_lambda_nd)

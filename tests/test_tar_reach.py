@@ -4,7 +4,9 @@ import pytest
 
 from isreconf import (Graph, InputError, Rule, empty_module, oracle_lambda,
                       oracle_reach, reach_nd, reach_tar, reach_tj,
-                      reduce_empty_module, tar_engine, tj_threshold, verify_sequence)
+                      reduce_empty_module, tar_engine, tar_reach, tj_threshold,
+                      verify_sequence)
+from isreconf.decomposition import _run
 
 from helpers import (complete_graph, cycle_graph, join_all, path_graph,
                      random_graph, random_independent_set, threshold_sides)
@@ -257,27 +259,48 @@ def test_component_token_counts_frozen_after_normalization():
                         queue.append(nxt)
 
 
+class LoggedStore(dict):
+    """A reach call's table store that logs every write and every hit."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def __setitem__(self, key, entry):
+        self.log["filled"].append(key)
+        super().__setitem__(key, entry)
+
+    def get(self, key):
+        entry = super().get(key)
+        self.log["cached"] += entry is not None
+        return entry
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """Top-level solver calls: the ``(vertex mask, seed, threshold)`` each had
-    to fill, and how many found their threshold already cached."""
+    """Writes to the reach calls' stores, at any level: each table entry's
+    ``(vertex mask, seed, threshold)`` and each part list's ``(vertex mask,
+    seed)``, and how many reads found what they asked for."""
     log = {"filled": [], "cached": 0}
-    original = tar_engine._Solver.__call__
+    fill = tar_engine._fill
 
-    def call(self, j):
-        if j in self.cache:
-            log["cached"] += 1
-        else:
-            log["filled"].append((self.g._vmask, self.seed, j))
-        return original(self, j)
+    def reach(g, k, s, t, classes=False):
+        return _run(tar_reach._tar(g, k, s, t, classes, LoggedStore(log)))
 
-    monkeypatch.setattr(tar_engine._Solver, "__call__", call)
+    def checked_fill(memo, *args):
+        assert isinstance(memo, LoggedStore)  # every level reads the call's one store
+        return fill(memo, *args)
+
+    monkeypatch.setattr(tar_reach, "_reach_tar", reach)
+    for module in (tar_engine, tar_reach):
+        monkeypatch.setattr(module, "_fill", checked_fill)
     return log
 
 
 def test_reach_tar_solves_each_table_entry_once(solves):
-    # the fence step vacates a module on the graph without its fence, and
-    # the normalisation after the fence deletion asks for that same table
+    # the fence step vacates a module on the graph without its fence, the
+    # normalisation after the fence deletion asks for that same table, and
+    # every parent's rule loop reads its children's tables from the store
     g, s, t = threshold_instance(0, 300)
     for k in (1, 2, len(s) // 4, len(s) // 2, len(s) - 1, len(s)):
         solves["filled"].clear()
