@@ -23,27 +23,20 @@ def parse_graph(text: str) -> Graph:
     Vertex IDs are 1-based; duplicate edges are merged; self-loops and
     out-of-range endpoints are rejected with the offending line number.
     `_read_chunks` reads the text once, taking plain edge chunks in bulk.
-    On a dense input, `_transpose_into` then fills in the half of adj that
-    the bulk chunks skip, and one look down the diagonal finds any
-    self-loop they took.  A self-loop there, or an `InputError` from the
-    first pass, sends the text through `_read_chunks` again with every
-    chunk read line by line, so the first bad line raises with the same
-    message and line number as in a plain line-by-line parse.  The rerun
-    also holds one chunk at a time, never the text's whole line list.
+    A sparse input's first pass raises at the first bad line.  A dense
+    input's bulk chunks do not look for self-loops, so after a bad line,
+    or after a self-loop found on the diagonal, the pass returns None and
+    the text goes through `_read_chunks` again with every chunk read line
+    by line: the first bad line raises with the same message and line
+    number as in a plain line-by-line parse.  The rerun also holds one
+    chunk at a time, never the text's whole line list.
     """
-    try:
-        n, adj, dense = _read_chunks(text, bulk=True)
-        if dense:
-            _transpose_into(adj, n)
-            if any(row >> p & 1 for p, row in enumerate(adj)):
-                raise InputError("self-loop in a bulk chunk")
-    except InputError:          # the rerun raises the first error, with its line
-        n, adj, _ = _read_chunks(text, bulk=False)
+    n, adj = _read_chunks(text, bulk=True) or _read_chunks(text, bulk=False)
     return Graph._from_adj(list(range(1, n + 1)), adj)
 
 
-def _read_chunks(text: str, bulk: bool) -> tuple[int, list[int], bool]:
-    """One pass over text in chunks; returns (n, adj, whether the input is dense).
+def _read_chunks(text: str, bulk: bool) -> tuple[int, list[int]] | None:
+    """One pass over text in chunks; returns (n, adj), or None to read it line by line.
 
     Chunks are cut after a newline, one line each up to the problem line
     and about 64K characters after it.  With `bulk`, `_plain_edges` takes a
@@ -53,8 +46,11 @@ def _read_chunks(text: str, bulk: bool) -> tuple[int, list[int], bool]:
     chunk after the problem line decides once whether the input is dense:
     at its characters per line, the text left holds at least n² / 16
     edges.  A dense input's bulk chunks OR each edge into the first
-    endpoint's row only, and the caller symmetrizes adj; the line-by-line
-    chunks OR both ways, and the closure is the same either way.  Memory
+    endpoint's row only, and `_transpose_into` symmetrizes adj at the end;
+    the line-by-line chunks OR both ways, and the closure is the same
+    either way.  A dense input returns None on a bad line or on a
+    self-loop its bulk chunks took, which one look down the diagonal
+    finds, as such a loop may come before the first bad line.  Memory
     beyond the text is the adjacency masks, one chunk, an index from ID
     text to position, the size of the graph's own ID index, and on a dense
     input a table from ID text to bit, n² / 16 bytes.  The estimate is at
@@ -83,11 +79,20 @@ def _read_chunks(text: str, bulk: bool) -> tuple[int, list[int], bool]:
                 lineno += count
                 continue
         lines = chunk.splitlines()
-        n, adj = _parse_lines(lines, lineno, n, adj)
+        try:
+            n, adj = _parse_lines(lines, lineno, n, adj)
+        except InputError:
+            if bit is None:         # a sparse pass raises at the first bad line
+                raise
+            return None
         lineno += len(lines)
     if n is None:
         raise InputError("missing problem line 'p edge <n> <m>'")
-    return n, adj, bit is not None
+    if bit is not None:
+        _transpose_into(adj, n)
+        if any(row >> p & 1 for p, row in enumerate(adj)):
+            return None
+    return n, adj
 
 
 def _plain_edges(chunk: str, count: int, position: dict[str, int], adj: list[int],

@@ -7,17 +7,17 @@ the optimum.  Tables are filled lazily per threshold because the loop
 usually probes only a handful of them.
 
 Below the public functions everything works on position masks: a table
-maps a threshold to ``(reached mask, rope)``, and vertex-ID sets are built
-only where a public function returns.  The rule loop is a generator
-recursion on ``decomposition._run``, the one trampoline: it reads a table
-entry by yielding the table's reader for that threshold, so the tables of
-a decomposition are filled without nesting calls per level.  ``_fill``
-keeps every entry of one public call in one store, so each is filled once.
+is a dict from threshold to ``(reached mask, rope)``, and vertex-ID sets
+are built only where a public function returns.  The rule loop is a
+generator recursion on ``decomposition._run``, the one trampoline: it
+reads a child's table by threshold and, only on a miss, yields ``_fill``
+for that entry, so the tables of a decomposition are filled without
+nesting calls per level.  One store per public call holds every table,
+so each entry is filled once.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import stats
@@ -273,29 +273,14 @@ class EngineState:
                 raise InternalError("per-module sequence does not end at its slice")
 
 
-def _entry(g: Graph, table: Mapping[int, LambdaResult], i: int, pm: int,
-           j: int) -> Generator[None, None, tuple[int, MoveRope]]:
-    """A caller's table for part ``i`` (mask ``pm``) read at ``j`` like ``_fill``, entry checked."""
-    try:
-        e = table[j]
-    except (LookupError, TypeError):  # TypeError: no table for a part meeting the seed
-        raise InputError(f"tables for part {i} lack threshold {j}") from None
-    if not isinstance(e, LambdaResult) or e.size != len(e.reached):
-        raise InputError(f"malformed table entry for part {i}, threshold {j}")
-    rmask = g._mask(e.reached)
-    if rmask & ~pm:
-        raise InputError(f"table entry for part {i} leaves the part")
-    return rmask, e._rope
-    yield  # a generator, so the rule loop reads it as it reads ``_fill``
-
-
 def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
-                     tables: list[Callable | None], alphas: list[tuple[int, int]],
-                     check: bool = False) -> Generator:
+                     tables: list[dict | None], alphas: list[tuple[int, int]],
+                     memo: dict | None, check: bool) -> Generator:
     """The rule loop on a seed mask; ``alphas`` holds each part's alpha and witness mask.
 
-    ``tables[i](j)`` is a generator returning part ``i``'s entry at
-    threshold ``j``; the loop reads it by yielding it to ``_run``.
+    ``tables[i]`` is part ``i``'s table, read by threshold; an entry it
+    lacks (never one of ``lambda_step``'s, which come complete) is filled
+    into it by yielding ``_fill`` on ``memo``, the call's store, to ``_run``.
     """
     st = EngineState(g, k, seed, part_masks)
 
@@ -306,8 +291,9 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
             st.slices.append(alphas[i][1])
         else:
             st.live |= pm
-            st.thr[i] = (st.r & pm).bit_count()
-            rmask, rope = yield tables[i](st.thr[i])
+            st.thr[i] = j = (st.r & pm).bit_count()
+            rmask, rope = (tables[i].get(j)
+                           or (yield _fill(memo, check, g._derive(pm), seed & pm, j)))
             st.rope = MoveRope.cat(st.rope, rope)
             st.mod_ropes[i] = rope
             st.r = (st.r & ~pm) | rmask
@@ -315,123 +301,115 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
         st.check()
 
     while True:
-        applied = False
-
         # Rule 1: a live part whose slice is already a maximum independent
         # set of the part is frozen there; survivors join the pool.
-        for i, pm in enumerate(part_masks):
-            if pm & st.live and (st.r & pm).bit_count() == alphas[i][0]:
+        for pm, (size, _) in zip(part_masks, alphas):
+            if pm & st.live and (st.r & pm).bit_count() == size:
                 st.h = _drop(st.h, pm & ~st.r)
                 st.slices.append(pm & st.r)
                 st.live &= ~pm
                 # tokens just entered the pool, so its floor window moved; r lies in
                 # V(H), the pool and the live parts, so r & live is r outside the pool
                 st.thr0 = max(st.thr0, k - (st.r & st.live).bit_count())
-                applied = True
                 break
-        if applied:
-            stats.inc("rule_applications")
-            if check:
-                st.check()
-            continue
-
-        # Rule 2a: improve inside the pool, restricted to vertices with no
-        # neighbor in any live part.  Each slice is an edgeless module of h,
-        # so one member's row decides the whole slice, and the free slices
-        # are the blocks of the f0 view's twin partition, memoised here for
-        # the class search.  A pool full of tokens has nothing to improve.
-        free = [s for s in st.slices if not st.h._adj[s.bit_length() - 1] & st.live]
-        f0 = sum(free)
-        rf0 = st.r & f0
-        if rf0 != f0:
-            floor0 = k - (st.r & ~f0).bit_count()
-            view = st.h._derive(f0)
-            _twin_masks(view, free)
-            reached, rope = _class_search(view, max(floor0, 0), rf0)
-            if reached.bit_count() > rf0.bit_count():
-                st.thr0 = max(floor0, 0)
-                st.rope = MoveRope.cat(st.rope, rope)
-                st.r = (st.r & ~f0) | reached
-                stats.inc("rule_applications")
-                if check:
-                    st.check()
-                continue
-
-        # Rule 2b: improve inside one live part via its table, at the floor
-        # its current slack allows.
-        for i, pm in enumerate(part_masks):
-            if not pm & st.live:
-                continue
-            j = k - (st.r & ~pm).bit_count()
-            cur = (st.r & pm).bit_count()
-            if j <= 0:
-                size, amask = alphas[i]
-                if size > cur:
-                    delta = MoveRope.cat(removes(g._ids(st.r & pm)), adds(g._ids(amask)))
-                    st.rope = MoveRope.cat(st.rope, delta)
-                    st.mod_ropes[i] = MoveRope.cat(st.mod_ropes[i], delta)
-                    st.r = (st.r & ~pm) | amask
-                    st.thr[i] = 0
-                    applied = True
-                    break
-            else:
-                if j > st.thr[i]:
-                    raise InternalError("requested threshold above the stored one")
-                rmask, rope = yield tables[i](j)
-                if rmask.bit_count() > cur:
-                    delta = MoveRope.cat(MoveRope.rev(st.mod_ropes[i]), rope)
-                    st.rope = MoveRope.cat(st.rope, delta)
-                    st.mod_ropes[i] = rope
-                    st.r = (st.r & ~pm) | rmask
-                    st.thr[i] = j
-                    applied = True
-                    break
-        if applied:
-            stats.inc("rule_applications")
-            if check:
-                st.check()
-            continue
-        break
+        else:  # Rules 2a and 2b, or the fixpoint
+            if not (yield from _improve(st, tables, alphas, memo, check)):
+                break
+        stats.inc("rule_applications")
+        if check:
+            st.check()
 
     return st.r, st.rope
 
 
-def _fill(memo: dict[tuple, tuple], check: bool, g: Graph, seed: int, j: int) -> Generator:
+def _improve(st: EngineState, tables: list[dict | None], alphas: list[tuple[int, int]],
+             memo: dict | None, check: bool) -> Generator:
+    """Rules 2a and 2b: grow R once and return True, or return False if neither applies."""
+    g, k = st.g, st.k
+
+    # Rule 2a: improve inside the pool, restricted to vertices with no
+    # neighbor in any live part.  Each slice is an edgeless module of h,
+    # so one member's row decides the whole slice, and the free slices
+    # are the blocks of the f0 view's twin partition, memoised here for
+    # the class search.  A pool full of tokens has nothing to improve.
+    free = [s for s in st.slices if not st.h._adj[s.bit_length() - 1] & st.live]
+    f0 = sum(free)
+    rf0 = st.r & f0
+    if rf0 != f0:
+        floor0 = max(k - (st.r & ~f0).bit_count(), 0)
+        view = st.h._derive(f0)
+        _twin_masks(view, free)
+        reached, rope = _class_search(view, floor0, rf0)
+        if reached.bit_count() > rf0.bit_count():
+            st.thr0 = floor0
+            st.rope = MoveRope.cat(st.rope, rope)
+            st.r = (st.r & ~f0) | reached
+            return True
+
+    # Rule 2b: improve inside one live part via its table, at the floor
+    # its current slack allows; at floor 0 the part's alpha witness.
+    for i, pm in enumerate(st.part_masks):
+        if not pm & st.live:
+            continue
+        j = k - (st.r & ~pm).bit_count()
+        cur = (st.r & pm).bit_count()
+        if j <= 0:
+            size, rmask = alphas[i]
+            if size <= cur:
+                continue
+            delta = MoveRope.cat(removes(g._ids(st.r & pm)), adds(g._ids(rmask)))
+            rope = MoveRope.cat(st.mod_ropes[i], delta)
+        else:
+            if j > st.thr[i]:
+                raise InternalError("requested threshold above the stored one")
+            rmask, rope = (tables[i].get(j)
+                           or (yield _fill(memo, check, g._derive(pm), st.seed & pm, j)))
+            if rmask.bit_count() <= cur:
+                continue
+            delta = MoveRope.cat(MoveRope.rev(st.mod_ropes[i]), rope)
+        st.rope = MoveRope.cat(st.rope, delta)
+        st.mod_ropes[i] = rope
+        st.r = (st.r & ~pm) | rmask
+        st.thr[i] = max(j, 0)
+        return True
+    return False
+
+
+def _fill(memo: dict[tuple[int, int], dict], check: bool, g: Graph, seed: int,
+          j: int) -> Generator:
     """The entry of ``g``'s table for a seed mask at threshold ``j``, filled on the trampoline.
 
-    ``memo`` is the one table store of a public call, keyed by vertex mask,
-    seed and threshold: every graph in a call is a view of one root, and a
-    table depends on nothing else, so each entry is filled once per call
-    however many parents read it.  Under the key without the threshold it
-    keeps the table's root parts, their readers and alphas, or ``()`` when
-    the class search fills the table.  ``check`` is the call's too; it
-    comes before the key so that a part's reader binds it positionally (a
-    keyword in a ``partial`` builds a dict per read).
+    ``memo`` is the one table store of a public call: it maps a vertex mask
+    and a seed to the table, a dict from threshold to entry.  Every graph
+    in a call is a view of one root, and a table depends on nothing else,
+    so each entry is filled once per call however many parents read it.
+    Under the key None a table keeps its root parts: their masks, their
+    tables (the children's own, from the store) and alphas, or ``()`` when
+    the class search fills the table.
     """
-    key = g._vmask, seed, j
-    hit = memo.get(key)
+    table = memo.setdefault((g._vmask, seed), {})
+    hit = table.get(j)
     if hit is not None:
         return hit
     if j == 0:
         _, w = _alpha_mask(g)
         hit = w, MoveRope.cat(removes(g._ids(seed & ~w)), adds(g._ids(w & ~seed)))
     else:
-        parts = memo.get(key[:2])
+        parts = table.get(None)
         if parts is None:
             part_masks = _root_child_masks(g)[1] if g.n > 2 else []
             parts = ()
             if not all(pm.bit_count() == 1 for pm in part_masks):
-                subs = [g._derive(pm) for pm in part_masks]
                 parts = (part_masks,
-                         [partial(_fill, memo, check, sub, seed & pm) if seed & pm else None
-                          for sub, pm in zip(subs, part_masks)],
-                         [_alpha_mask(sub) for sub in subs])
-            memo[key[:2]] = parts
+                         [memo.setdefault((pm, seed & pm), {}) if seed & pm else None
+                          for pm in part_masks],
+                         [_alpha_mask(g._derive(pm)) for pm in part_masks])
+            table[None] = parts
         if parts:
-            hit = yield from _lambda_step_raw(g, j, seed, *parts, check)
+            hit = yield from _lambda_step_raw(g, j, seed, *parts, memo, check)
         else:
             hit = _class_search(g, j, seed)
-    memo[key] = hit
+    table[j] = hit
     return hit
 
 
@@ -441,10 +419,11 @@ def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
     """One table-combining step over an explicit module partition.
 
     The partition must be non-trivial, and for each part meeting the seed
-    the table must answer every threshold up to the seed slice size.
-    Tables are checked in one place, as the rule loop reads an entry: it
-    must be a ``LambdaResult`` whose size matches its set, inside its
-    part.  The engine's own tables skip that check and the set round trip.
+    the table must answer every threshold from 1 up to the seed slice
+    size.  Each of those entries is checked once, before the rule loop
+    runs: it must be a ``LambdaResult`` whose size matches its set, inside
+    its part.  The engine's own tables skip that check and the set round
+    trip.
     """
     seed = frozenset(seed)
     smask = _seed_mask(g, seed)
@@ -466,9 +445,23 @@ def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
         part_masks.append(pm)
     if covered != g._vmask:
         raise InputError("parts must cover the vertex set")
-    read = [partial(_entry, g, t, i, pm) for i, (t, pm) in enumerate(zip(tables, part_masks))]
+    read: list[dict | None] = []
+    for i, (table, pm) in enumerate(zip(tables, part_masks)):
+        read.append({} if smask & pm else None)
+        for j in range((smask & pm).bit_count(), 0, -1):
+            try:
+                e = table[j]
+            except (LookupError, TypeError):  # TypeError: no table for a part meeting the seed
+                raise InputError(f"tables for part {i} lack threshold {j}") from None
+            if not isinstance(e, LambdaResult) or e.size != len(e.reached):
+                raise InputError(f"malformed table entry for part {i}, threshold {j}")
+            rmask = g._mask(e.reached)
+            if rmask & ~pm:
+                raise InputError(f"table entry for part {i} leaves the part")
+            read[i][j] = rmask, e._rope
     alphas = [_alpha_mask(g._derive(pm)) for pm in part_masks]
-    return _result(g, seed, k, _run(_lambda_step_raw(g, k, smask, part_masks, read, alphas, check)))
+    return _result(g, seed, k, _run(_lambda_step_raw(g, k, smask, part_masks, read, alphas,
+                                                     None, check)))
 
 
 def lambda_single(g: Graph, seed, k: int, *, check: bool = False) -> LambdaResult:

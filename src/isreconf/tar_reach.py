@@ -21,7 +21,7 @@ from .decomposition import (_clique_class, _drop, _fence, _module_mask, _root_ch
                             _run, _twin_masks)
 from .errors import InputError, InternalError
 from .graph import Graph
-from .mis import _alpha_mask, alpha
+from .mis import _alpha_mask, alpha  # alpha unused here: perfbench tests tar_reach.alpha
 from .moveseq import EMPTY, MoveRope, adds, removes
 from .rules import ReconfSequence, Rule, tj_threshold
 from .tar_engine import _class_search, _fill, _seed_mask
@@ -101,7 +101,7 @@ def reduce_empty_module(g: Graph, module, s, t) -> Graph:
     smask, tmask = _pair_masks(g, s, t)
     if (smask | tmask) & pm:
         raise InputError("both sets must avoid the module")
-    return _drop(g, pm & ~g._mask(alpha(g._derive(pm)).witness))
+    return _drop(g, pm & ~_alpha_mask(g._derive(pm))[1])
 
 
 # -- twin-class reachability ----------------------------------------------------
@@ -149,10 +149,10 @@ def _tar(g: Graph, k: int, s: int, t: int, classes: bool, memo: dict) -> Generat
 
     A module step fails or wraps a smaller instance's rope between its own
     prefix and ``rev(rt)``.  Components are decided in order, each after a
-    check of its token counts.  The call's table entries share one store,
-    ``memo``, keyed by vertex mask, seed and threshold: the normalisation
-    after a fence deletion reads the entry that the vacating attempt filled
-    on that vertex set, and each entry of any module's table is filled once.
+    check of its token counts.  The call's tables share one store, ``memo``,
+    keyed by vertex mask and seed: the normalisation after a fence deletion
+    reads the entry that the vacating attempt filled on that vertex set,
+    and each entry of any module's table is filled once.
     """
     if k <= 0:  # no effective floor: tear down one side and build the other
         return MoveRope.cat(removes(g._ids(s & ~t)), adds(g._ids(t & ~s)))

@@ -420,6 +420,29 @@ def test_sparse_inputs_skip_the_transpose():
         assert got._adj == Graph(range(1, n + 1), edges)._adj
 
 
+def test_a_bad_line_in_a_sparse_text_raises_from_the_first_pass(monkeypatch):
+    # a sparse text's bulk chunks take no self-loop, so the first pass
+    # already raises at the first bad line; no rerun reads the text again
+    n = 20_000
+    rng = random.Random(4)
+    pairs = ((rng.randint(1, n), rng.randint(1, n)) for _ in range(20_000))
+    text = plain_text(n, [(u, v) for u, v in pairs if u != v])
+    calls = []
+    read = dimacs._read_chunks
+
+    def counted(text, bulk):
+        calls.append(bulk)
+        return read(text, bulk)
+
+    monkeypatch.setattr(dimacs, "_read_chunks", counted)
+    for bad in (f"e 1 {n + 1}\n", "e 9 9\n", "x\n"):
+        calls.clear()
+        want = outcome(parse_graph, text + bad)
+        assert want[0] == "error" and want[1].startswith(f"line {text.count(chr(10)) + 1}: ")
+        assert outcome(dimacs.parse_graph, text + bad) == want
+        assert calls == [True]
+
+
 def test_dense_input_takes_one_transpose():
     g, edges = dense_edges(0)
     assert 16 * len(edges) >= g.n ** 2

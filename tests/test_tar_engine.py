@@ -182,6 +182,18 @@ def test_lambda_step_rejects_a_missing_table_for_a_seeded_part():
     assert lambda_step(g, 1, {1, 3}, parts, [table, None]).size == 2
 
 
+def test_lambda_step_requires_every_threshold_up_to_the_seed_slice():
+    # the seed slice {1, 3} is part 0's maximum independent set, so the rule
+    # loop freezes the part at once and never reads threshold 1; the table
+    # still has to answer it
+    g = cycle_graph([1, 2, 3, 4])
+    parts = [frozenset({1, 3}), frozenset({2, 4})]
+    tables = tables_for(g, parts, {1, 3})
+    del tables[0][1]
+    with pytest.raises(InputError, match="tables for part 0 lack threshold 1"):
+        lambda_step(g, 1, {1, 3}, parts, tables)
+
+
 def test_block_built_twin_partitions_match_vertex_built_ones(monkeypatch):
     """Rule 2a groups the pool by its slices and the class search regroups
     its classes after the clique drop; each such partition must equal one
@@ -269,12 +281,13 @@ def test_a_start_holding_every_vertex_builds_no_twin_partition(monkeypatch):
 def test_rule_2a_skips_a_pool_full_of_tokens(monkeypatch):
     # a pool whose every vertex holds a token has no larger union to reach,
     # so Rule 2a derives no view and runs no class search on it; on this
-    # input most pools are full.  Rule 2a is the rule loop's only search.
+    # input most pools are full.  Rule 2a, in ``_improve``, is the rule loop's
+    # only search.
     full = []
     real = tar_engine._class_search
 
     def counted(g, floor, start, goal=None):
-        if sys._getframe(1).f_code is tar_engine._lambda_step_raw.__code__:
+        if sys._getframe(1).f_code is tar_engine._improve.__code__:
             full.append(start == g._vmask)
         return real(g, floor, start, goal)
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -259,37 +260,56 @@ def test_component_token_counts_frozen_after_normalization():
                         queue.append(nxt)
 
 
+class LoggedTable(dict):
+    """One table of a reach call's store that logs every write and every hit."""
+
+    def __init__(self, key, log):
+        super().__init__()
+        self.key = key
+        self.log = log
+
+    def __setitem__(self, j, entry):
+        self.log["filled"].append((*self.key, j))
+        super().__setitem__(j, entry)
+
+    def get(self, j):
+        entry = super().get(j)
+        self.log["cached"] += j is not None and entry is not None
+        return entry
+
+
 class LoggedStore(dict):
-    """A reach call's table store that logs every write and every hit."""
+    """A reach call's table store whose tables are ``LoggedTable``s."""
 
     def __init__(self, log):
         super().__init__()
         self.log = log
 
-    def __setitem__(self, key, entry):
-        self.log["filled"].append(key)
-        super().__setitem__(key, entry)
-
-    def get(self, key):
-        entry = super().get(key)
-        self.log["cached"] += entry is not None
-        return entry
+    def setdefault(self, key, default=None):
+        assert default == {}
+        return super().setdefault(key, LoggedTable(key, self.log))
 
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Writes to the reach calls' stores, at any level: each table entry's
-    ``(vertex mask, seed, threshold)`` and each part list's ``(vertex mask,
-    seed)``, and how many reads found what they asked for."""
-    log = {"filled": [], "cached": 0}
+    """Writes to the tables of the reach calls' stores, at any level: each
+    entry's ``(vertex mask, seed, threshold)`` and each part list's ``(vertex
+    mask, seed, None)``; how many entry reads found what they asked for; and
+    how many ``_fill`` calls a rule loop made, each of which must miss."""
+    log = {"filled": [], "cached": 0, "loop_fills": 0}
     fill = tar_engine._fill
+    rule_loop = (tar_engine._lambda_step_raw.__code__, tar_engine._improve.__code__)
 
     def reach(g, k, s, t, classes=False):
         return _run(tar_reach._tar(g, k, s, t, classes, LoggedStore(log)))
 
-    def checked_fill(memo, *args):
+    def checked_fill(memo, check, g, seed, j):
         assert isinstance(memo, LoggedStore)  # every level reads the call's one store
-        return fill(memo, *args)
+        if sys._getframe(1).f_code in rule_loop:
+            # a rule loop reads its child's table first and fills only what it lacks
+            assert dict.get(dict.get(memo, (g._vmask, seed), {}), j) is None
+            log["loop_fills"] += 1
+        return fill(memo, check, g, seed, j)
 
     monkeypatch.setattr(tar_reach, "_reach_tar", reach)
     for module in (tar_engine, tar_reach):
@@ -307,6 +327,7 @@ def test_reach_tar_solves_each_table_entry_once(solves):
         reach_tar(g, k, s, t)
         assert solves["filled"]
         assert len(set(solves["filled"])) == len(solves["filled"]), k
+    assert solves["loop_fills"] and solves["cached"]
 
 
 def test_fence_and_normalisation_match_oracle_on_threshold_graphs(solves):
@@ -323,4 +344,4 @@ def test_fence_and_normalisation_match_oracle_on_threshold_graphs(solves):
             cases += 1
             nos += not ans.reachable
     assert (cases, nos) == (653, 120)
-    assert solves["cached"] >= 200
+    assert solves["cached"] >= 200 and solves["loop_fills"]
