@@ -18,13 +18,13 @@ from .tar_engine import (LambdaResult, lambda_all, lambda_nd, lambda_single,
                          lambda_step, shrink_module)
 from .tar_reach import ReachAnswer, empty_module, reach_nd, reach_tar, reach_tj, \
     reduce_empty_module
-from .ts_reach import TsReduction, reach_ts, ts_aux_decide, ts_big_module, ts_shrink
+from .ts_reach import reach_ts, ts_aux_decide, ts_big_module, ts_shrink
 
 __all__ = [
     "AlphaResult", "GenProfile", "Graph", "InputError", "InternalError",
     "LambdaResult", "MDNode", "Move", "OracleCapError", "ReachAnswer",
-    "ReconfSequence", "Rule", "RuleViolation", "SequenceError", "TsReduction",
-    "TwinClass", "alpha", "brute_alpha", "brute_modular_width", "empty_module",
+    "ReconfSequence", "Rule", "RuleViolation", "SequenceError", "TwinClass",
+    "alpha", "brute_alpha", "brute_modular_width", "empty_module",
     "gen_instance", "is_module", "lambda_all", "lambda_nd", "lambda_single",
     "lambda_step", "md_tree", "modular_width", "nd_partition", "oracle_cap",
     "oracle_lambda", "oracle_reach", "reach_nd", "reach_tar", "reach_tj", "reach_ts",

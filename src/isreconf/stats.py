@@ -19,7 +19,3 @@ def inc(name: str, amount: int = 1) -> None:
 
 def get(name: str) -> int:
     return _counts.get(name, 0)
-
-
-def snapshot() -> dict[str, int]:
-    return dict(_counts)

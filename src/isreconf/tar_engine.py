@@ -118,12 +118,13 @@ def _class_search(g: Graph, floor: int, start: int,
     avoid the dropped clique vertices) it returns ``goal`` and the moves to
     it, or None if no union path joins the two.  Without one it returns the
     first largest union found and the moves from ``start``.  No union
-    outweighs the heaviest independent set of the class quotient (found by
-    ``mis._heaviest`` once a second union shows), so the walk stops at the
-    first union of that weight: the union, and parent path, that a walk
-    over every reachable union would return.  Exponential in the
-    twin-class count only.  A start holding every vertex (so the graph is
-    edgeless, or empty) is already the largest union.
+    outweighs the heaviest independent set of the class quotient, which
+    ``mis._heaviest`` finds before the walk, so the walk stops at the first
+    union of that weight, the saturated start included: the union, and
+    parent path, that a walk over every reachable union would return.
+    Exponential in the twin-class count only.  A start holding every
+    vertex (so the graph is edgeless, or empty) is already the largest
+    union.
     """
     if start == g._vmask and goal in (None, start):
         return start, EMPTY
@@ -159,12 +160,10 @@ def _class_search(g: Graph, floor: int, start: int,
     parent: dict[int, tuple[int, int] | None] = {}
     states = _bfs(state, step, parent)
     if goal is None:
-        at = next(states)
-        top = None
+        top = _heaviest((1 << len(classes)) - 1, quotient_adjacency(g, classes),
+                        [c.bit_count() for c in classes], {0: (0, 0, 0)})[0]
+        at = state
         for other in states:
-            if top is None:
-                top = _heaviest((1 << len(classes)) - 1, quotient_adjacency(g, classes),
-                                [c.bit_count() for c in classes], {0: (0, 0, 0)})[0]
             if other.bit_count() > at.bit_count():
                 at = other
             if at.bit_count() == top:
@@ -352,11 +351,8 @@ def _improve(st: EngineState, tables: list[dict | None], alphas: list[tuple[int,
         if not pm & st.live:
             continue
         j = k - (st.r & ~pm).bit_count()
-        cur = (st.r & pm).bit_count()
         if j <= 0:
-            size, rmask = alphas[i]
-            if size <= cur:
-                continue
+            rmask = alphas[i][1]
             delta = MoveRope.cat(removes(g._ids(st.r & pm)), adds(g._ids(rmask)))
             rope = MoveRope.cat(st.mod_ropes[i], delta)
         else:
@@ -364,7 +360,7 @@ def _improve(st: EngineState, tables: list[dict | None], alphas: list[tuple[int,
                 raise InternalError("requested threshold above the stored one")
             rmask, rope = (tables[i].get(j)
                            or (yield _fill(memo, check, g._derive(pm), st.seed & pm, j)))
-            if rmask.bit_count() <= cur:
+            if rmask.bit_count() <= (st.r & pm).bit_count():
                 continue
             delta = MoveRope.cat(MoveRope.rev(st.mod_ropes[i]), rope)
         st.rope = MoveRope.cat(st.rope, delta)

@@ -12,14 +12,14 @@ so the quotient path is not a certificate for the input graph.
 
 The solver works on position masks over the root's child modules and
 component masks; the public lemma functions check and convert their
-input, then run the same mask cores.  The decision is a generator
-recursion on the one trampoline, ``decomposition._run``, so no depth of
-decomposition nests Python frames.
+input, then run the same mask cores, and return only what a step
+changes: the graph, and under ``ts_shrink`` the target.  The decision
+is a generator recursion on the one trampoline, ``decomposition._run``,
+so no depth of decomposition nests Python frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Iterator
 
 from .decomposition import _drop, _fence, _module_mask, _root_child_masks, _run
@@ -29,32 +29,14 @@ from .tar_engine import _bfs
 from .tar_reach import _pair_masks
 
 
-@dataclass(frozen=True)
-class TsReduction:
-    """A fully shrunk instance: every module is one representative vertex.
-
-    ``vacancies`` lists the representatives of modules whose target token
-    had to cross between module components; each needs some reachable set
-    that avoids it.
-    """
-
-    h: Graph
-    start: frozenset[int]
-    target: frozenset[int]
-    vacancies: tuple[int, ...]
-
-
-def ts_big_module(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozenset[int]] | None:
-    """Apply the two-token rule: None means unreachable, else the instance
-    shrinks to the module's non-neighborhood."""
-    s = frozenset(s)
-    t = frozenset(t)
+def ts_big_module(g: Graph, s, t, module) -> Graph | None:
+    """Apply the two-token rule: None means unreachable, else the graph
+    shrunk to the module's non-neighborhood, on which the sides stay."""
     pm = _module_mask(g, module)
     smask, tmask = _pair_masks(g, s, t)
     if (smask & pm).bit_count() < 2:
         raise InputError("the module must hold at least two source tokens")
-    h = _big_module(g, tmask, pm)
-    return None if h is None else (h, s, t)
+    return _big_module(g, tmask, pm)
 
 
 def _big_module(g: Graph, t: int, module: int) -> Graph | None:
@@ -63,15 +45,16 @@ def _big_module(g: Graph, t: int, module: int) -> Graph | None:
     return None if t & fence else _drop(g, fence)
 
 
-def ts_shrink(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozenset[int], bool]:
+def ts_shrink(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], bool]:
     """Shrink a module meeting each side at most once down to one vertex.
 
-    When the two sides hold different vertices of the module, the target
-    token is rerouted onto the source vertex first; if those vertices sit
-    in different components of the module, the caller must additionally
-    check that some reachable set vacates the module (flag in the result).
+    Returns the shrunk graph, the target and the vacancy flag; the source
+    is unchanged.  When the two sides hold different vertices of the
+    module, the target token is rerouted onto the source vertex first; if
+    those vertices sit in different components of the module, the caller
+    must additionally check that some reachable set vacates the module
+    (the flag).
     """
-    s = frozenset(s)
     pm = _module_mask(g, module)
     smask, tmask = _pair_masks(g, s, t)
     if smask.bit_count() != tmask.bit_count():
@@ -79,7 +62,7 @@ def ts_shrink(g: Graph, s, t, module) -> tuple[Graph, frozenset[int], frozenset[
     if (smask & pm).bit_count() > 1 or (tmask & pm).bit_count() > 1:
         raise InputError("the module may hold at most one token per side")
     h, tmask, used_vacancy = _shrink(g, smask, tmask, pm)
-    return h, s, g._idset(tmask), used_vacancy
+    return h, g._idset(tmask), used_vacancy
 
 
 def _shrink(g: Graph, s: int, t: int, module: int) -> tuple[Graph, int, bool]:
@@ -94,17 +77,20 @@ def _shrink(g: Graph, s: int, t: int, module: int) -> tuple[Graph, int, bool]:
     return _drop(g, module & ~(keep & -keep)), t, used_vacancy
 
 
-def ts_aux_decide(red: TsReduction) -> bool:
-    """Search fixed-size independent sets of the reduced graph by slides.
+def ts_aux_decide(h: Graph, s, t, vacancies) -> bool:
+    """Search fixed-size independent sets of a fully shrunk graph by slides.
 
-    Accept iff the target is reachable and, for every vacancy
-    representative, some reachable set avoids it.
+    In ``h`` every module is one representative vertex.  ``vacancies``
+    lists the representatives of modules whose target token had to cross
+    between module components; each needs some reachable set that avoids
+    it.  Accept iff the target is reachable and every vacancy is so
+    witnessed.
     """
-    h = red.h
-    if len(red.start) != len(red.target):
+    s, t = frozenset(s), frozenset(t)
+    if len(s) != len(t):
         raise InputError("reduced sides must have equal size")
-    smask, tmask = _pair_masks(h, red.start, red.target)
-    return _aux_decide(h, smask, tmask, h._mask(red.vacancies))
+    smask, tmask = _pair_masks(h, s, t)
+    return _aux_decide(h, smask, tmask, h._mask(vacancies))
 
 
 def _aux_decide(h: Graph, smask: int, tmask: int, vacancies: int) -> bool:

@@ -5,7 +5,7 @@ import pytest
 
 from isreconf import Graph, InputError, cli
 from isreconf.cli import main
-from isreconf.dimacs import emit_graph, parse_graph
+from isreconf.dimacs import build_instance, emit_graph, load_sidecar, parse_graph
 
 from helpers import cycle_graph, path_graph, random_graph
 
@@ -161,6 +161,18 @@ def test_sidecar_values_must_be_json_integers(tmp_path, capsys, field, value):
     code, out, err = run(capsys, "solve", gpath, "--json")
     assert (code, out) == (2, "")
     assert json.loads(err)["answer"] == "error"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 3]", "sidecar must be a JSON object"),
+    ('{"rule": "tas", "start": [1], "target": [3]}', "rule must be one of tar, tj, ts (got 'tas')"),
+    ('{"rule": "tar", "start": [1], "target": [3]}', "rule tar requires a threshold k"),
+    ('{"rule": "ts", "start": [1, 2], "target": [3]}', "start set is not independent"),
+])
+def test_sidecar_errors_name_their_cause(text, message):
+    with pytest.raises(InputError) as err:
+        build_instance(path_graph([1, 2, 3]), load_sidecar(text))
+    assert str(err.value) == message
 
 
 def test_solve_tj_size_mismatch_is_a_no(tmp_path, capsys):

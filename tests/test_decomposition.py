@@ -40,6 +40,16 @@ def test_is_module_empty_errors():
         is_module(path_graph([1, 2]), set())
 
 
+@pytest.mark.parametrize("fn, message", [
+    (md_tree, "modular decomposition needs a nonempty graph"),
+    (modular_width, "modular width of the empty graph is undefined"),
+])
+def test_empty_graph_has_no_decomposition(fn, message):
+    with pytest.raises(InputError) as err:
+        fn(Graph([]))
+    assert str(err.value) == message
+
+
 def test_lemma_module_checks_run_in_order():
     # an unknown vertex, then an empty set, then a set that is not a module
     g = path_graph([1, 2, 3])

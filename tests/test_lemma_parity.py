@@ -352,7 +352,7 @@ def lambda_table(g, seed):
     stats.reset()
     table = lambda_all(g, seed, check=g.n <= 8)
     return ([(j, r.size, r.reached, r.sequence.moves) for j, r in table.items()],
-            stats.snapshot())
+            stats.get("rule_applications"), stats.get("nodes_deleted"))
 
 
 def check_instance(g, s, t):

@@ -57,6 +57,20 @@ def test_non_independent_inputs_rejected():
         oracle_reach(Rule.tar(0), c4(), {1, 2}, {3})
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: GenProfile(n=0), "profile needs n >= 1"),
+    (lambda: GenProfile(n=5, width=1), "profile needs width >= 2"),
+    (lambda: GenProfile(n=5, rule="tas"), "unknown rule 'tas'"),
+    (lambda: oracle_reach(Rule.tar(2), path_graph([1, 2, 3]), {1, 3}, {2}),
+     "sets are below the TAR floor"),
+    (lambda: oracle_lambda(path_graph([1, 2, 3]), {2}, 2), "seed set is below the TAR floor"),
+])
+def test_oracle_and_profile_input_errors(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_reach_symmetry_and_monotonicity():
     rng = random.Random(5)
     for _ in range(40):

@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
-from isreconf import (GenProfile, Graph, InputError, alpha, decomposition, gen_instance,
-                      lambda_all, lambda_nd, lambda_single, lambda_step, oracle_lambda,
-                      reach_tar, shrink_module, tar_engine, verify_sequence)
+from isreconf import (GenProfile, Graph, InputError, LambdaResult, alpha, decomposition,
+                      gen_instance, lambda_all, lambda_nd, lambda_single, lambda_step,
+                      oracle_lambda, reach_tar, shrink_module, tar_engine, verify_sequence)
 from isreconf.moveseq import MoveRope
 from isreconf.rules import Move
 
@@ -116,6 +116,11 @@ def test_lambda_step_rejects_bad_input():
         lambda_step(g, 1, {1, 3}, [frozenset({1, 3}), frozenset({2, 3, 4})], tables)
     with pytest.raises(InputError, match="cover"):
         lambda_step(g, 1, {1, 3}, [frozenset({1, 3}), frozenset({2})], tables)
+    with pytest.raises(InputError, match="malformed table entry for part 0, threshold 2"):
+        lambda_step(g, 1, {1, 3}, parts, [{**tables[0], 2: "not a result"}, tables[1]])
+    outside = LambdaResult(1, frozenset({2}), frozenset({1, 3}), 1, MoveRope.leaf([]))
+    with pytest.raises(InputError, match="table entry for part 0 leaves the part"):
+        lambda_step(g, 1, {1, 3}, parts, [{**tables[0], 2: outside}, tables[1]])
 
 
 def test_lambda_all_star():
@@ -386,7 +391,8 @@ def test_early_stopped_search_matches_the_full_walk():
     assert below >= 20 and stopped >= 100
 
 
-def test_early_stopped_search_visits_fewer_unions(monkeypatch):
+def bfs_states(monkeypatch):
+    """The list of every state ``tar_engine._bfs`` yields from now on."""
     visited = []
     real = tar_engine._bfs
 
@@ -396,6 +402,11 @@ def test_early_stopped_search_visits_fewer_unions(monkeypatch):
             yield state
 
     monkeypatch.setattr(tar_engine, "_bfs", counted)
+    return visited
+
+
+def test_early_stopped_search_visits_fewer_unions(monkeypatch):
+    visited = bfs_states(monkeypatch)
     view, start = next(pool_views(0))
     counts = []
     for search in (tar_engine._class_search, full_class_search):
@@ -404,3 +415,13 @@ def test_early_stopped_search_visits_fewer_unions(monkeypatch):
             search(view, floor, start)
         counts.append(len(visited))
     assert counts[0] < counts[1]
+
+
+def test_a_start_saturated_to_the_heaviest_union_is_the_only_state(monkeypatch):
+    # {2} saturates to the leaves {2, 3}, already the heaviest union, so the
+    # search returns it without expanding it (to the empty union at floor 0)
+    visited = bfs_states(monkeypatch)
+    g = star_graph(1, [2, 3])
+    reached, rope = tar_engine._class_search(g, 0, g._mask({2}))
+    assert reached == g._mask({2, 3}) and rope.flatten() == (Move.add(3),)
+    assert visited == [reached]

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isreconf import (Graph, InputError, Rule, TsReduction, oracle_reach,
-                      reach_ts, ts_aux_decide, ts_big_module, ts_shrink)
+from isreconf import (Graph, InputError, Rule, oracle_reach, reach_ts, top_partition,
+                      ts_aux_decide, ts_big_module, ts_shrink)
 
 from helpers import (complete_graph, cycle_graph, graphs, join_all, path_graph,
                      random_graph, random_independent_set)
@@ -31,11 +31,10 @@ def test_reach_ts_c4_frozen():
 
 
 def test_big_module_recursion_cases():
-    step = ts_big_module(c4(), {1, 3}, {1, 3}, {1, 3})
-    assert step is not None
-    g2, s2, t2 = step
+    g2 = ts_big_module(c4(), {1, 3}, {1, 3}, {1, 3})
+    assert g2 is not None
     assert g2.vertices == {1, 3} and g2.m == 0
-    assert reach_ts(g2, s2, t2)
+    assert reach_ts(g2, {1, 3}, {1, 3})
     assert ts_big_module(c4(), {1, 3}, {2, 4}, {1, 3}) is None
     with pytest.raises(InputError):
         ts_big_module(c4(), {1}, {2, 4}, {1, 3})
@@ -52,18 +51,18 @@ def test_ts_crowding_a_module_is_refused():
 
 def test_ts_shrink_same_component_reroute():
     g = join_all(path_graph([1, 2, 3]), 4)
-    g2, s2, t2, used_vacancy = ts_shrink(g, {1}, {3}, {1, 2, 3})
+    g2, t2, used_vacancy = ts_shrink(g, {1}, {3}, {1, 2, 3})
     assert not used_vacancy
-    assert t2 == {1} and s2 == {1}
+    assert t2 == {1}
     assert g2.vertices == {1, 4}
-    assert reach_ts(g2, s2, t2)
+    assert reach_ts(g2, {1}, t2)
     assert oracle_reach(Rule.ts(), g, {1}, {3})
 
 
 def test_ts_shrink_cross_component_needs_vacancy():
     # complete bipartite sides {1,3} and {2,4}; the module {1,3} is edgeless
     g = Graph([1, 2, 3, 4], [(1, 2), (1, 4), (3, 2), (3, 4)])
-    g2, s2, t2, used_vacancy = ts_shrink(g, {1}, {3}, {1, 3})
+    g2, t2, used_vacancy = ts_shrink(g, {1}, {3}, {1, 3})
     assert used_vacancy
     assert t2 == {1}
     assert oracle_reach(Rule.ts(), g, {1}, {3})
@@ -72,7 +71,7 @@ def test_ts_shrink_cross_component_needs_vacancy():
 
 def test_ts_shrink_untouched_module_keeps_lowest_id():
     g = Graph([1, 2, 3, 4], [(1, 2), (1, 4), (3, 2), (3, 4)])
-    g2, s2, t2, used_vacancy = ts_shrink(g, set(), set(), {2, 4})
+    g2, t2, used_vacancy = ts_shrink(g, set(), set(), {2, 4})
     assert not used_vacancy
     assert g2.vertices == {1, 2, 3}
 
@@ -88,7 +87,10 @@ def test_ts_lemmas_refuse_sides_of_different_sizes():
     with pytest.raises(InputError, match="same number of tokens"):
         ts_shrink(g, {1}, {1, 3}, {2})
     with pytest.raises(InputError, match="equal size"):
-        ts_aux_decide(TsReduction(g, frozenset({1}), frozenset({1, 3}), ()))
+        ts_aux_decide(g, {1}, {1, 3}, ())
+    # the size check comes first: {1, 2} is also dependent
+    with pytest.raises(InputError, match="equal size"):
+        ts_aux_decide(g, {1, 2}, {1}, ())
 
 
 def test_ts_lemmas_refuse_dependent_token_sets():
@@ -102,22 +104,20 @@ def test_ts_lemmas_refuse_dependent_token_sets():
         ts_shrink(g, {1, 2}, {4, 5}, {1})
     p3 = path_graph([1, 2, 3])
     with pytest.raises(InputError, match="independent"):
-        ts_aux_decide(TsReduction(p3, frozenset({1, 2}), frozenset({1, 2}), ()))
+        ts_aux_decide(p3, {1, 2}, {1, 2}, ())
 
 
 def test_aux_decide_examples():
     p3 = path_graph([1, 2, 3])
-    assert ts_aux_decide(TsReduction(p3, frozenset({1}), frozenset({1}), ()))
-    assert ts_aux_decide(TsReduction(p3, frozenset({1}), frozenset({3}), ()))
-    frozen = TsReduction(c4(), frozenset({1, 3}), frozenset({1, 3}), (1,))
-    assert not ts_aux_decide(frozen)
+    assert ts_aux_decide(p3, {1}, {1}, ())
+    assert ts_aux_decide(p3, {1}, {3}, ())
+    assert not ts_aux_decide(c4(), {1, 3}, {1, 3}, (1,))
 
 
 def test_aux_decide_vacancy_must_be_witnessed():
     k2 = complete_graph(2)
-    assert ts_aux_decide(TsReduction(k2, frozenset({1}), frozenset({1}), (1,)))
-    lonely = Graph([1])
-    assert not ts_aux_decide(TsReduction(lonely, frozenset({1}), frozenset({1}), (1,)))
+    assert ts_aux_decide(k2, {1}, {1}, (1,))
+    assert not ts_aux_decide(Graph([1]), {1}, {1}, (1,))
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,7 +138,53 @@ def test_aux_decide_matches_brute_force_with_vacancies(g, seed, vacancy_bits):
                 queue.append(nxt)
     expect = g._mask(t) in seen and all(any(not state & g._mask({v}) for state in seen)
                                         for v in vacancies)
-    assert ts_aux_decide(TsReduction(g, s, t, vacancies)) == expect
+    assert ts_aux_decide(g, s, t, vacancies) == expect
+
+
+@st.composite
+def connected_instances(draw, max_n=7):
+    """A connected graph (a random tree plus chords) and two independent sets of one size."""
+    n = draw(st.integers(1, max_n))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+    edges += draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(range(1, n + 1), edges)
+    rng = random.Random(draw(st.integers(0, 2 ** 30)))
+    s, t = (sorted(random_independent_set(rng, g)) for _ in range(2))
+    size = min(len(s), len(t))
+    return g, frozenset(s[:size]), frozenset(t[:size])
+
+
+def lemma_chain(g, s, t):
+    """``_ts``'s steps on ID sets, each reduction one public lemma call."""
+    if len(s) != len(t):
+        return False
+    if s == t:
+        return True
+    comps = g.components()
+    if len(comps) > 1:
+        return all(lemma_chain(g.induced_subgraph(c), s & c, t & c) for c in comps)
+    parts = top_partition(g)
+    big = next((p for p in parts if len(s & p) >= 2), None)
+    if big is not None:
+        h = ts_big_module(g, s, t, big)
+        return h is not None and lemma_chain(h, s, t)
+    if any(len(t & p) >= 2 for p in parts):
+        return False
+    vacancies = set()
+    for p in parts:
+        if len(p) > 1:
+            g, t, used_vacancy = ts_shrink(g, s, t, p)
+            if used_vacancy:
+                vacancies |= p & g.vertices
+    return ts_aux_decide(g, s, t, vacancies)
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_instances())
+def test_public_lemmas_chained_as_the_solver_runs_them_match_reach_ts(case):
+    g, s, t = case
+    assert lemma_chain(g, s, t) == reach_ts(g, s, t)
 
 
 def test_reach_ts_matches_oracle_randomized():
