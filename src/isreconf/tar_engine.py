@@ -121,10 +121,10 @@ def _class_search(g: Graph, floor: int, start: int,
     outweighs the heaviest independent set of the class quotient, which
     ``mis._heaviest`` finds before the walk, so the walk stops at the first
     union of that weight, the saturated start included: the union, and
-    parent path, that a walk over every reachable union would return.
-    Exponential in the twin-class count only.  A start holding every
-    vertex (so the graph is edgeless, or empty) is already the largest
-    union.
+    parent path, that a walk over every reachable union would return; a
+    saturated start with no hop is the only union, and its own bound.
+    Exponential in the twin-class count only; a start holding every vertex
+    (so the graph is edgeless, or empty) is already the largest union.
     """
     if start == g._vmask and goal in (None, start):
         return start, EMPTY
@@ -160,8 +160,9 @@ def _class_search(g: Graph, floor: int, start: int,
     parent: dict[int, tuple[int, int] | None] = {}
     states = _bfs(state, step, parent)
     if goal is None:
-        top = _heaviest((1 << len(classes)) - 1, quotient_adjacency(g, classes),
-                        [c.bit_count() for c in classes], {0: (0, 0, 0)})[0]
+        top = (state.bit_count() if next(step(state), None) is None else
+               _heaviest((1 << len(classes)) - 1, quotient_adjacency(g, classes),
+                         [c.bit_count() for c in classes], {0: (0, 0, 0)})[0])
         at = state
         for other in states:
             if other.bit_count() > at.bit_count():
@@ -238,7 +239,7 @@ class EngineState:
             raise InternalError("the live mask is not a union of whole parts")
         if pool & self.live or pool | self.live != h._vmask or h._vmask & ~g._vmask:
             raise InternalError("pool and live parts do not partition V(H)")
-        if _replay(g, ReconfSequence(Rule.tar(max(self.k, 0)), g._idset(self.seed),
+        if _replay(g, ReconfSequence(Rule.tar(self.k), g._idset(self.seed),
                                      self.rope.flatten())) != r:
             raise InternalError("accumulated sequence does not end at R")
         if len(self.slices) != len(self.part_masks) - len(live_parts):
@@ -267,19 +268,19 @@ class EngineState:
                 raise InternalError("live part lost all tokens")
             part_g = g._derive(pm)
             seed_i = g._idset(self.seed & pm)
-            if _replay(part_g, ReconfSequence(Rule.tar(max(self.thr[i], 0)), seed_i,
+            if _replay(part_g, ReconfSequence(Rule.tar(self.thr[i]), seed_i,
                                               self.mod_ropes[i].flatten())) != r & pm:
                 raise InternalError("per-module sequence does not end at its slice")
 
 
 def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
                      tables: list[dict | None], alphas: list[tuple[int, int]],
-                     memo: dict | None, check: bool) -> Generator:
+                     memo: dict, check: bool) -> Generator:
     """The rule loop on a seed mask; ``alphas`` holds each part's alpha and witness mask.
 
     ``tables[i]`` is part ``i``'s table, read by threshold; an entry it
-    lacks (never one of ``lambda_step``'s, which come complete) is filled
-    into it by yielding ``_fill`` on ``memo``, the call's store, to ``_run``.
+    lacks (of ``lambda_step``'s, only floor 0: the part's alpha witness) is
+    filled into ``memo``, the call's store, by yielding ``_fill`` to ``_run``.
     """
     st = EngineState(g, k, seed, part_masks)
 
@@ -312,7 +313,7 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
                 st.thr0 = max(st.thr0, k - (st.r & st.live).bit_count())
                 break
         else:  # Rules 2a and 2b, or the fixpoint
-            if not (yield from _improve(st, tables, alphas, memo, check)):
+            if not (yield from _improve(st, tables, memo, check)):
                 break
         stats.inc("rule_applications")
         if check:
@@ -321,9 +322,11 @@ def _lambda_step_raw(g: Graph, k: int, seed: int, part_masks: list[int],
     return st.r, st.rope
 
 
-def _improve(st: EngineState, tables: list[dict | None], alphas: list[tuple[int, int]],
-             memo: dict | None, check: bool) -> Generator:
-    """Rules 2a and 2b: grow R once and return True, or return False if neither applies."""
+def _improve(st: EngineState, tables: list[dict | None], memo: dict, check: bool) -> Generator:
+    """Rules 2a and 2b: grow R once and return True, or return False if neither applies.
+
+    Rule 2b reads floor 0 from a part's table as any floor: ``_fill``'s alpha entry.
+    """
     g, k = st.g, st.k
 
     # Rule 2a: improve inside the pool, restricted to vertices with no
@@ -345,28 +348,21 @@ def _improve(st: EngineState, tables: list[dict | None], alphas: list[tuple[int,
             st.r = (st.r & ~f0) | reached
             return True
 
-    # Rule 2b: improve inside one live part via its table, at the floor
-    # its current slack allows; at floor 0 the part's alpha witness.
+    # Rule 2b: improve inside one live part via its table, at the floor its slack allows
     for i, pm in enumerate(st.part_masks):
         if not pm & st.live:
             continue
-        j = k - (st.r & ~pm).bit_count()
-        if j <= 0:
-            rmask = alphas[i][1]
-            delta = MoveRope.cat(removes(g._ids(st.r & pm)), adds(g._ids(rmask)))
-            rope = MoveRope.cat(st.mod_ropes[i], delta)
-        else:
-            if j > st.thr[i]:
-                raise InternalError("requested threshold above the stored one")
-            rmask, rope = (tables[i].get(j)
-                           or (yield _fill(memo, check, g._derive(pm), st.seed & pm, j)))
-            if rmask.bit_count() <= (st.r & pm).bit_count():
-                continue
-            delta = MoveRope.cat(MoveRope.rev(st.mod_ropes[i]), rope)
-        st.rope = MoveRope.cat(st.rope, delta)
+        j = max(k - (st.r & ~pm).bit_count(), 0)
+        if j > st.thr[i]:
+            raise InternalError("requested threshold above the stored one")
+        rmask, rope = (tables[i].get(j)
+                       or (yield _fill(memo, check, g._derive(pm), st.seed & pm, j)))
+        if rmask.bit_count() <= (st.r & pm).bit_count():
+            continue
+        st.rope = MoveRope.cat(st.rope, MoveRope.cat(MoveRope.rev(st.mod_ropes[i]), rope))
         st.mod_ropes[i] = rope
         st.r = (st.r & ~pm) | rmask
-        st.thr[i] = max(j, 0)
+        st.thr[i] = j
         return True
     return False
 
@@ -419,7 +415,7 @@ def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
     size.  Each of those entries is checked once, before the rule loop
     runs: it must be a ``LambdaResult`` whose size matches its set, inside
     its part.  The engine's own tables skip that check and the set round
-    trip.
+    trip.  Floor 0 needs none: the rule loop fills in the part's alpha witness.
     """
     seed = frozenset(seed)
     smask = _seed_mask(g, seed)
@@ -457,7 +453,7 @@ def lambda_step(g: Graph, k: int, seed, parts: Sequence[frozenset[int]],
             read[i][j] = rmask, e._rope
     alphas = [_alpha_mask(g._derive(pm)) for pm in part_masks]
     return _result(g, seed, k, _run(_lambda_step_raw(g, k, smask, part_masks, read, alphas,
-                                                     None, check)))
+                                                     {}, check)))
 
 
 def lambda_single(g: Graph, seed, k: int, *, check: bool = False) -> LambdaResult:

@@ -63,7 +63,7 @@ def _empty_module_rope(g: Graph, seed: int, module: int, k: int,
     if not seed & module:
         return seed, EMPTY
     h = g._derive(g._vmask & ~_fence(g, module))
-    reached, rope = _run(_fill(memo, False, h, seed, max(k, 0)))
+    reached, rope = _run(_fill(memo, False, h, seed, k))
     if (reached & ~module).bit_count() < k:
         return None
     return reached & ~module, MoveRope.cat(rope, removes(g._ids(reached & module)))
@@ -81,13 +81,13 @@ def empty_module(g: Graph, seed, module, k: int) -> tuple[frozenset[int], Reconf
     seed = frozenset(seed)
     pm = _module_mask(g, module)
     smask = _seed_mask(g, seed)
-    if len(seed) < k:
-        raise InputError("seed is below the floor")
+    if k < 0 or len(seed) < k:
+        raise InputError(f"floor {k} outside [0, {len(seed)}]")
     out = _empty_module_rope(g, smask, pm, k, {})
     if out is None:
         return None
     final, rope = out
-    return g._idset(final), ReconfSequence(Rule.tar(max(k, 0)), seed, rope.flatten())
+    return g._idset(final), ReconfSequence(Rule.tar(k), seed, rope.flatten())
 
 
 def reduce_empty_module(g: Graph, module, s, t) -> Graph:

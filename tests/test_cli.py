@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from isreconf import Graph, InputError, cli
+from isreconf import GenProfile, Graph, InputError, cli
 from isreconf.cli import main
 from isreconf.dimacs import build_instance, emit_graph, load_sidecar, parse_graph
 
@@ -323,6 +323,16 @@ def test_bench_exits_3_when_the_oracle_disagrees(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert json.loads(err) == {"answer": "error",
                                "error": "internal: seed 0: solver disagrees with the oracle"}
+
+
+def test_profile_skips_empty_items():
+    assert cli._parse_profile("n=10,,width=3,") == GenProfile(n=10, width=3)
+
+
+def test_usage_error_exits_2(capsys):
+    code, out, err = run(capsys, "solve")   # the graph argument is missing
+    assert (code, out) == (2, "")
+    assert "usage:" in err
 
 
 def test_bad_profile_and_missing_file(tmp_path, capsys):

@@ -140,7 +140,7 @@ CASES = {  # name: (input, call, result)
     "modular_width": (threshold300, lambda g, s, t: modular_width(g), 2),
     "alpha": (threshold300, lambda g, s, t: alpha(g).size, 155),
     "lambda_single": (threshold300, lambda g, s, t: lambda_single(g, s, len(s) // 2).size, 155),
-    "lambda_all": (threshold300, table, ([64, 155], 9671)),
+    "lambda_all": (threshold300, table, ([64, 155], 5859)),
     "reach_tar": (staircase, lambda g, s, t: answer(reach_tar(g, 109, s, t)), (True, 2)),
     "reach_tj": (threshold300, lambda g, s, t: answer(reach_tj(g, s, t)), (True, 186)),
     "reach_nd": (matching, lambda g, s, t: answer(reach_nd(g, 1, s, t)), (True, 478)),

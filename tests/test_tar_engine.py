@@ -98,6 +98,21 @@ def test_lambda_step_star_with_module_parts():
     check_result(g, res)
 
 
+def test_lambda_step_reads_floor_zero_past_the_callers_tables():
+    # P3 with its middle token and an isolated token {4}, floor 1: the
+    # caller's tables stop at threshold 1; Rule 1 freezes {4}, which leaves
+    # the P3 part a slack floor of 0, and its alpha witness {1, 3} comes from
+    # the rule loop's own store
+    g = Graph([1, 2, 3, 4], [(1, 2), (2, 3)])
+    parts = [frozenset({1, 2, 3}), frozenset({4})]
+    tables = tables_for(g, parts, {2, 4})
+    assert [sorted(t) for t in tables] == [[1], [1]]
+    res = lambda_step(g, 1, {2, 4}, parts, tables, check=True)
+    assert res.size == oracle_lambda(g, {2, 4}, 1) == 3
+    assert res.reached == {1, 3, 4}
+    check_result(g, res)
+
+
 def test_lambda_step_rejects_bad_input():
     g = cycle_graph([1, 2, 3, 4])
     parts = [frozenset({1, 3}), frozenset({2, 4})]
@@ -425,3 +440,19 @@ def test_a_start_saturated_to_the_heaviest_union_is_the_only_state(monkeypatch):
     reached, rope = tar_engine._class_search(g, 0, g._mask({2}))
     assert reached == g._mask({2, 3}) and rope.flatten() == (Move.add(3),)
     assert visited == [reached]
+
+
+def test_a_moveless_start_builds_no_bound(monkeypatch):
+    # P3 from {1}: the start saturates to the leaves {1, 3}, which see the
+    # middle and cannot drop below floor 1, so it is the only union and its
+    # own weight bounds the walk; no quotient is weighed
+    calls = []
+    heaviest = tar_engine._heaviest
+    monkeypatch.setattr(tar_engine, "_heaviest",
+                        lambda *args: calls.append(args) or heaviest(*args))
+    g = path_graph([1, 2, 3])
+    reached, rope = tar_engine._class_search(g, 1, g._mask({1}))
+    assert reached == g._mask({1, 3}) and rope.flatten() == (Move.add(3),)
+    assert calls == []
+    tar_engine._class_search(g, 0, g._mask({1}))  # at floor 0 the leaves can drop
+    assert len(calls) == 1

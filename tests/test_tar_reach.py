@@ -48,6 +48,8 @@ def test_empty_module_validates():
         empty_module(g, {1, 2}, {1, 3}, 0)     # seed not independent
     with pytest.raises(InputError):
         empty_module(g, {1}, {1, 3}, 2)        # floor above the seed
+    with pytest.raises(InputError):
+        empty_module(g, {1, 3}, {1, 3}, -5)    # negative floor
 
 
 def test_reduce_empty_module_keeps_edgeless_module():
@@ -345,3 +347,15 @@ def test_fence_and_normalisation_match_oracle_on_threshold_graphs(solves):
             nos += not ans.reachable
     assert (cases, nos) == (653, 120)
     assert solves["cached"] >= 200 and solves["loop_fills"]
+
+
+def test_threshold_certificate_length_is_bounded():
+    # at the floor perfbench draws for this input (24), each live part that
+    # Rule 2b lifts to floor 0 replays its table's floor-0 entry, which swaps
+    # only the part's seed tokens off its alpha witness for the rest of it:
+    # 168 moves; tearing the slice down and building the witness up takes 932
+    g, s, t = threshold_sides(0, 600)
+    ans = reach_tar(g, 24, s, t)
+    assert ans.reachable
+    check_yes(g, ans, s, t, 24)
+    assert len(ans.certificate.moves) <= 400
