@@ -65,9 +65,11 @@ def lambda_nd(g: Graph, seed, k: int) -> LambdaResult:
     """
     seed = frozenset(seed)
     smask = _seed_mask(g, seed)
+    if k < 0:
+        raise InputError(f"floor {k} outside [0, {len(seed)}]")
     if len(seed) < k:
         raise InputError(f"seed has {len(seed)} tokens, below the floor {k}")
-    return _result(g, seed, max(k, 0), _class_search(g, max(k, 0), smask))
+    return _result(g, seed, k, _class_search(g, k, smask))
 
 
 def _seed_mask(g: Graph, seed) -> int:

@@ -147,17 +147,15 @@ def _reach_tar(g: Graph, k: int, s: int, t: int, classes: bool = False) -> MoveR
 def _tar(g: Graph, k: int, s: int, t: int, classes: bool, memo: dict) -> Generator:
     """The TAR decision as a recursion on ``_run``: a rope from ``s`` to ``t``, or None.
 
-    A module step fails or wraps a smaller instance's rope between its own
-    prefix and ``rev(rt)``.  Components are decided in order, each after a
-    check of its token counts.  The call's tables share one store, ``memo``,
-    keyed by vertex mask and seed: the normalisation after a fence deletion
-    reads the entry that the vacating attempt filled on that vertex set,
-    and each entry of any module's table is filled once.
+    Every call has |s| >= k.  The one base case, at any level, is the direct
+    route: if |s & t| >= k, remove ``s - t`` then add ``t - s``, keeping
+    |s & t| tokens in |s ^ t| moves, which no TAR sequence undercuts.  A
+    module step fails or wraps a smaller instance's rope between its prefix
+    and ``rev(rt)``; components are decided in order after a token-count
+    check.  The tables share one store, ``memo``, so each entry is filled once.
     """
-    if k <= 0:  # no effective floor: tear down one side and build the other
+    if (s & t).bit_count() >= k:
         return MoveRope.cat(removes(g._ids(s & ~t)), adds(g._ids(t & ~s)))
-    if s == t:
-        return EMPTY
 
     if classes:
         pm = next((m for m in _twin_masks(g) if _clique_class(g, m)), None)

@@ -75,6 +75,31 @@ def threshold_sides(seed: int, n: int) -> tuple[Graph, frozenset[int], frozenset
     return g, maximal_independent(), maximal_independent()
 
 
+def staircase(m: int = 110) -> tuple[Graph, frozenset[int], frozenset[int]]:
+    """Vertex v of 0..2m-1 joins every earlier vertex iff v is odd.
+
+    The evens and ``{1} | evens - {0}`` are maximum independent sets that
+    differ at the bottom; ``reach_tar`` at floor m, where no token can leave
+    first, descends 2m levels to that bottom and answers no.
+    """
+    g = Graph(range(2 * m), [(u, v) for v in range(1, 2 * m, 2) for u in range(v)])
+    return g, frozenset(range(0, 2 * m, 2)), frozenset({1, *range(2, 2 * m, 2)})
+
+
+def staircase_on_edges(m: int) -> tuple[Graph, frozenset[int], frozenset[int]]:
+    """Two disjoint edges 0-1 and 2-3 under a staircase: vertex v of 4..2m+3
+    joins every earlier vertex iff v is odd.
+
+    The sides are the evens from 4 up plus {0, 2} or {1, 3}.  They share m
+    tokens, below the TJ floor m + 1, so TAR at that floor descends through
+    the whole decomposition, about 2m levels, before it swaps the two edges.
+    """
+    g = Graph(range(2 * m + 4), [(0, 1), (2, 3)] + [(u, v) for v in range(5, 2 * m + 4, 2)
+                                                     for u in range(v)])
+    evens = frozenset(range(4, 2 * m + 4, 2))
+    return g, evens | {0, 2}, evens | {1, 3}
+
+
 def random_independent_set(rng: random.Random, g: Graph, keep=0.7) -> frozenset[int]:
     chosen: set[int] = set()
     for v in rng.sample(list(g.ids), g.n):

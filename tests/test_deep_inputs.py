@@ -6,13 +6,15 @@ entry point nests calls per decomposition level or raises the recursion
 limit.  Each case runs with the limit set to the caller's frame depth
 plus 100, on an input that nested deeper than that when the solvers
 recursed with Python calls (``modular_width`` and alpha already used
-worklists); results are pinned to the values computed then.  TS on the
-staircase descends 219 levels; on the threshold graph, only 75.  The
-wide inputs are shallow instead: each root is a prime node of order 1000
-or 500, its modular width, so the prime split and alpha's branching over
-the quotient run at that order under the same limit.  On a sparse random
-prime only the split runs: alpha's branching over its quotient may take
-time exponential in the order.
+worklists); results are pinned to the values computed then.  Each reach
+pair shares fewer than k tokens at the top, so it gets past the direct
+route and descends at least 110 levels, deleting vertices on the way.  TS
+on the staircase descends 219 levels; on the threshold graph, only 75.
+The wide inputs are shallow instead: each root is a prime node of order
+1000 or 500, its modular width, so the prime split and alpha's branching
+over the quotient run at that order under the same limit.  On a sparse
+random prime only the split runs: alpha's branching over its quotient may
+take time exponential in the order.
 """
 
 import contextlib
@@ -34,7 +36,7 @@ from isreconf.cli import main
 from isreconf.decomposition import _run
 from isreconf.dimacs import emit_graph
 
-from helpers import graphs
+from helpers import graphs, staircase, staircase_on_edges
 from test_solver_core import threshold_instance
 
 
@@ -43,18 +45,8 @@ def threshold300():
     return threshold_instance(0, 300)
 
 
-def staircase(m=110):
-    """Vertex v of 0..2m-1 joins every earlier vertex iff v is odd.
-
-    The evens and ``{1} | evens - {0}`` are maximum independent sets that
-    differ at the bottom; ``reach_tar`` at floor m-1 used to nest 2m-1 calls.
-    """
-    g = Graph(range(2 * m), [(u, v) for v in range(1, 2 * m, 2) for u in range(v)])
-    return g, frozenset(range(0, 2 * m, 2)), frozenset({1, *range(2, 2 * m, 2)})
-
-
 def matching(m=120):
-    """m disjoint edges: m clique twin classes, which ``reach_nd`` used to nest one call each."""
+    """m disjoint edges: m clique twin classes, one level each for ``reach_nd`` at floor m-1."""
     g = Graph(range(2 * m), [(2 * i, 2 * i + 1) for i in range(m)])
     return g, frozenset(range(0, 2 * m, 2)), frozenset(range(1, 2 * m, 2))
 
@@ -141,9 +133,10 @@ CASES = {  # name: (input, call, result)
     "alpha": (threshold300, lambda g, s, t: alpha(g).size, 155),
     "lambda_single": (threshold300, lambda g, s, t: lambda_single(g, s, len(s) // 2).size, 155),
     "lambda_all": (threshold300, table, ([64, 155], 5859)),
-    "reach_tar": (staircase, lambda g, s, t: answer(reach_tar(g, 109, s, t)), (True, 2)),
-    "reach_tj": (threshold300, lambda g, s, t: answer(reach_tj(g, s, t)), (True, 186)),
-    "reach_nd": (matching, lambda g, s, t: answer(reach_nd(g, 1, s, t)), (True, 478)),
+    "reach_tar": (staircase, lambda g, s, t: answer(reach_tar(g, 110, s, t)), (False, None)),
+    "reach_tj": (lambda: staircase_on_edges(110), lambda g, s, t: answer(reach_tj(g, s, t)),
+                 (True, 4)),
+    "reach_nd": (matching, lambda g, s, t: answer(reach_nd(g, 119, s, t)), (True, 478)),
     "reach_ts": (threshold300, lambda g, s, t: reach_ts(g, s, t), True),
     "reach_ts_staircase": (staircase, lambda g, s, t: reach_ts(g, s, t), True),
     "decompose": (threshold300, decompose_digest,
@@ -181,7 +174,10 @@ def under_caller_limit(call, *args):
 def test_deep_input_leaves_the_recursion_limit_alone(name):
     make, call, want = CASES[name]
     g, s, t = make()
+    stats.reset()
     assert under_caller_limit(call, g, s, t) == want
+    if name in ("reach_tar", "reach_tj", "reach_nd"):
+        assert stats.get("nodes_deleted") > 0  # not answered by the direct route at the top
 
 
 class Bottom(Exception):
@@ -204,20 +200,21 @@ def test_trampoline_runs_a_deep_recursion_and_passes_its_errors_up():
 
 
 def staircase_counts(m):
-    """``reach_tar`` on ``staircase(m)`` at floor m - 1: answer, moves and the run counters."""
-    g, s, t = staircase(m)
+    """``reach_tar`` on ``staircase_on_edges(m)`` at floor m + 1: answer, moves and counters."""
+    g, s, t = staircase_on_edges(m)
     stats.reset()
-    got = answer(reach_tar(g, m - 1, s, t))
+    got = answer(reach_tar(g, m + 1, s, t))
     return got, stats.get("rule_applications"), stats.get("nodes_deleted")
 
 
 def test_staircase_tables_fill_once_per_call():
     # each module's table entry is filled once per reach call, so doubling m
-    # about doubles the rule applications (10m - 16) and quadruples the
-    # deletions; a table filled again for every parent grows them as m^2
-    # and m^3 (4602 -> 18802 rule applications from m = 40 to 80)
+    # about doubles the rule applications (10m - 2) and quadruples the
+    # deletions; a table filled again for every parent would grow them as
+    # m^2 and m^3.  The sides share m tokens, below the floor m + 1, so the
+    # call descends to the two edges at the bottom
     (small, rules40, dead40), (large, rules80, dead80) = map(staircase_counts, (40, 80))
-    assert small == large == (True, 2)
+    assert small == large == (True, 4)
     assert rules80 <= 2.1 * rules40
     assert dead80 <= 4.2 * dead40
 

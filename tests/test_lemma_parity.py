@@ -7,12 +7,16 @@ The functions below the imports are verbatim copies of the earlier
 its own class-union search or inline module shrink.  The tests assert that
 the current functions give the same sizes, reached sets, flattened moves
 and ``nodes_deleted`` counts, or the same exception, on hypothesis graphs
-with n <= 8 under every floor and on generated instances.  The one
-exception is ``_reach_nd``'s count: the copy fills a fresh table on every
-level, the current code fills each table entry once per call, so its
-count may be lower but never higher.  The lemma
-functions now also reject an unknown or dependent seed, start or target;
-on those inputs only an ``InputError`` is required.
+with n <= 8 under every floor and on generated instances.  The
+exceptions are ``_reach_nd``'s and ``lambda_nd``'s.  The copy of
+``_reach_nd`` fills a fresh table on every level and answers directly only
+at floor 0, while the current code fills each table entry once per call and
+answers in |S ^ T| moves at any level where the sides share k tokens: the
+current answer must be the same, a yes must replay and be no longer, and
+the count may be lower but never higher.  ``lambda_nd`` now rejects a
+negative floor, which the copy clamped to 0.  The lemma functions now
+also reject an unknown or dependent seed, start or target; on those
+inputs only an ``InputError`` is required.
 """
 
 import random
@@ -22,13 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isreconf
-from isreconf import (GenProfile, Graph, InputError, LambdaResult, alpha, gen_instance,
+from isreconf import (GenProfile, Graph, InputError, LambdaResult, Rule, alpha, gen_instance,
                       is_module, lambda_all, nd_partition, stats, tar_engine, tar_reach,
-                      top_partition)
+                      top_partition, verify_sequence)
 from isreconf.decomposition import quotient_adjacency
 from isreconf.graph import bits
 from isreconf.moveseq import EMPTY, MoveRope, adds, removes
-from isreconf.rules import Move
+from isreconf.rules import Move, ReconfSequence
 from isreconf.tar_engine import lambda_single
 
 from helpers import cycle_graph, graphs, random_independent_set
@@ -358,13 +362,23 @@ def lambda_table(g, seed):
 def check_instance(g, s, t):
     for seed in (s, t):
         for k in range(-1, len(seed) + 2):
-            assert outcome(isreconf.lambda_nd, g, seed, k) == outcome(lambda_nd, g, seed, k)
+            new = outcome(isreconf.lambda_nd, g, seed, k)
+            if k >= 0:
+                assert new == outcome(lambda_nd, g, seed, k)
+            else:  # the copy clamps k = -1 to 0
+                assert new[:2] == ("raises", InputError)
     for k in range(1, min(len(s), len(t)) + 1):
         new, old = outcome(nd_rope, g, k, s, t), outcome(_reach_nd, g, k, s, t)
-        assert new[:2] == old[:2]
+        if old[0] == "raises":
+            assert new == old
+            continue
+        assert new[0] == "returns" and (new[1] is None) == (old[1] is None)
+        if new[1] is not None:
+            assert verify_sequence(g, ReconfSequence(Rule.tar(k), s, new[1])) == t
+            assert len(new[1]) <= len(old[1])
         # the copy fills a fresh table per level, the current code once per
         # call, so it may delete fewer nodes but never more
-        assert new[2] <= old[2] if new[0] == "returns" else new == old
+        assert new[2] <= old[2]
     now = lambda_table(g, s)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tar_engine, "_class_search", class_search_via_lambda_nd)

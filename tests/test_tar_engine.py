@@ -45,6 +45,12 @@ def test_lambda_nd_floor_above_seed_errors():
         lambda_nd(star_graph(1, [2, 3]), {1}, 2)
 
 
+def test_lambda_nd_negative_floor_errors():
+    # rejected like lambda_single's, not clamped to floor 0
+    with pytest.raises(InputError, match=r"floor -1 outside \[0, 1\]"):
+        lambda_nd(star_graph(1, [2, 3]), {1}, -1)
+
+
 def test_shrink_keeps_graph_when_witness_covers_module():
     c4 = cycle_graph([1, 2, 3, 4])
     assert shrink_module(c4, frozenset(), {2, 4}, {2, 4}) == c4

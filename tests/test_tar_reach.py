@@ -1,16 +1,19 @@
 import random
 import sys
+from collections import Counter, deque
 
 import pytest
 
-from isreconf import (Graph, InputError, Rule, empty_module, oracle_lambda,
-                      oracle_reach, reach_nd, reach_tar, reach_tj,
-                      reduce_empty_module, tar_engine, tar_reach, tj_threshold,
+from isreconf import (GenProfile, Graph, InputError, Rule, empty_module, gen_instance,
+                      oracle_lambda, oracle_reach, reach_nd, reach_tar, reach_tj,
+                      reduce_empty_module, stats, tar_engine, tar_reach, tj_threshold,
                       verify_sequence)
 from isreconf.decomposition import _run
+from isreconf.oracle import _successors
 
 from helpers import (complete_graph, cycle_graph, join_all, path_graph,
-                     random_graph, random_independent_set, threshold_sides)
+                     random_graph, random_independent_set, staircase,
+                     staircase_on_edges, threshold_sides)
 from test_solver_core import threshold_instance
 
 
@@ -246,9 +249,6 @@ def test_component_token_counts_frozen_after_normalization():
         for comp in g.components():
             keep = len(best.reached & comp)
             # BFS the configuration graph and confirm the bound
-            from collections import deque
-            from isreconf.rules import Rule as R
-            from isreconf.oracle import _successors
             start = g._mask(best.reached)
             seen = {start}
             queue = deque((start,))
@@ -256,7 +256,7 @@ def test_component_token_counts_frozen_after_normalization():
             while queue:
                 state = queue.popleft()
                 assert (state & cm).bit_count() <= keep
-                for nxt in _successors(R.tar(k), g, state):
+                for nxt in _successors(Rule.tar(k), g, state):
                     if nxt not in seen:
                         seen.add(nxt)
                         queue.append(nxt)
@@ -322,40 +322,110 @@ def solves(monkeypatch):
 def test_reach_tar_solves_each_table_entry_once(solves):
     # the fence step vacates a module on the graph without its fence, the
     # normalisation after the fence deletion asks for that same table, and
-    # every parent's rule loop reads its children's tables from the store
-    g, s, t = threshold_instance(0, 300)
-    for k in (1, 2, len(s) // 4, len(s) // 2, len(s) - 1, len(s)):
-        solves["filled"].clear()
-        reach_tar(g, k, s, t)
-        assert solves["filled"]
-        assert len(set(solves["filled"])) == len(solves["filled"]), k
+    # every parent's rule loop reads its children's tables from the store.
+    # Each threshold pair shares |s| - 1 tokens, so only the floor |s| (a
+    # no) gets past the direct route; the staircase over two edges gets past
+    # it at both floors above |s & t| (a yes and a no)
+    cases = [threshold_instance(seed, 300) for seed in (0, 2, 3)] + [staircase_on_edges(110)]
+    for g, s, t in cases:
+        for k in range(len(s & t) + 1, len(s) + 1):
+            solves["filled"].clear()
+            reach_tar(g, k, s, t)
+            assert solves["filled"]
+            assert len(set(solves["filled"])) == len(solves["filled"]), k
     assert solves["loop_fills"] and solves["cached"]
 
 
+def test_direct_route_is_the_symmetric_difference_and_fills_no_table(monkeypatch):
+    # where the sides share at least k tokens, every TAR(k) answer is yes in
+    # exactly |S ^ T| moves (no sequence is shorter), with no table filled
+    # and no vertex deleted
+    def no_fill(*args):
+        raise AssertionError("the direct route fills no table")
+
+    for module in (tar_engine, tar_reach):
+        monkeypatch.setattr(module, "_fill", no_fill)
+    stats.reset()
+    g, s, t = threshold_instance(0, 300)
+    cases = [(g, s, t, k, reach_tar(g, k, s, t))
+             for k in (0, 1, 2, len(s) // 4, len(s) // 2, len(s) - 1)]
+    cases += [(g, s, t, len(s) // 2, reach_nd(g, len(s) // 2, s, t)),
+              (g, s, t, len(s) - 1, reach_tj(g, s, t))]
+    g, s, t = staircase(110)
+    cases += [(g, s, t, 109, reach_tar(g, 109, s, t)), (g, s, t, 109, reach_tj(g, s, t))]
+    assert stats.get("nodes_deleted") == 0
+    for g, s, t, k, ans in cases:
+        check_yes(g, ans, s, t, k)
+        assert len(ans.certificate.moves) == len(s ^ t)
+
+
 def test_fence_and_normalisation_match_oracle_on_threshold_graphs(solves):
-    # threshold graphs reach the fence deletion and the disconnected
-    # normalisation at every level; every floor up to min(|S|, |T|)
-    cases = nos = 0
+    # every floor up to min(|S|, |T|) on threshold graphs, with maximal and
+    # with random independent sides; a pair that shares fewer than k tokens
+    # gets past the direct route to the fence deletion and the disconnected
+    # normalisation, and the random sides give such pairs yes answers too
+    cases, nos, deep = 0, 0, Counter()
     for seed in range(150):
         g, s, t = threshold_sides(seed, 12)
-        for k in range(1, min(len(s), len(t)) + 1):
-            ans = reach_tar(g, k, s, t)
-            assert ans.reachable == oracle_reach(Rule.tar(k), g, s, t)
-            if ans.reachable:
-                check_yes(g, ans, s, t, k)
-            cases += 1
-            nos += not ans.reachable
-    assert (cases, nos) == (653, 120)
+        rng = random.Random(seed)
+        pairs = [(s, t), (random_independent_set(rng, g), random_independent_set(rng, g))]
+        for s, t in pairs:
+            for k in range(1, min(len(s), len(t)) + 1):
+                ans = reach_tar(g, k, s, t)
+                assert ans.reachable == oracle_reach(Rule.tar(k), g, s, t)
+                if ans.reachable:
+                    check_yes(g, ans, s, t, k)
+                cases += 1
+                nos += not ans.reachable
+                if len(s & t) < k:
+                    deep[ans.reachable] += 1
+    assert (cases, nos) == (1091, 179)
+    assert deep == {True: 129, False: 179}  # every no descends
     assert solves["cached"] >= 200 and solves["loop_fills"]
 
 
 def test_threshold_certificate_length_is_bounded():
-    # at the floor perfbench draws for this input (24), each live part that
-    # Rule 2b lifts to floor 0 replays its table's floor-0 entry, which swaps
-    # only the part's seed tokens off its alpha witness for the rest of it:
-    # 168 moves; tearing the slice down and building the witness up takes 932
+    # at the floor perfbench draws for this input (24) the sides share 203
+    # tokens, so the direct route answers in the shortest length, |S ^ T|
     g, s, t = threshold_sides(0, 600)
     ans = reach_tar(g, 24, s, t)
     assert ans.reachable
     check_yes(g, ans, s, t, 24)
-    assert len(ans.certificate.moves) <= 400
+    assert len(ans.certificate.moves) == len(s ^ t) == 30
+
+
+def shortest_tar(g, k, s, t):
+    """Length of a shortest TAR(k) sequence from s to t, by BFS over the sets."""
+    start, goal = g._mask(s), g._mask(t)
+    dist = {start: 0}
+    queue = deque((start,))
+    while goal not in dist:
+        state = queue.popleft()
+        for nxt in _successors(Rule.tar(k), g, state):
+            if nxt not in dist:
+                dist[nxt] = dist[state] + 1
+                queue.append(nxt)
+    return dist[goal]
+
+
+def test_certificate_length_against_the_shortest_sequence():
+    # no TAR sequence is shorter than |S ^ T|, and where the sides share k
+    # tokens the direct route is that short at any level: on these 172 yes
+    # answers the certificates total 1084 moves against 670 in shortest
+    # sequences, and no certificate is more than 7 times the shortest
+    yes = total = shortest = 0
+    worst = 0.0
+    for n in (8, 12, 16):
+        for seed in range(60):
+            g, s, t, k = gen_instance(seed, GenProfile(n, width=4, rule="tar"))
+            ans = reach_tar(g, k, s, t)
+            if not ans.reachable:
+                continue
+            check_yes(g, ans, s, t, k)
+            moves, best = len(ans.certificate.moves), shortest_tar(g, k, s, t)
+            assert moves >= best >= len(s ^ t)
+            yes, total, shortest = yes + 1, total + moves, shortest + best
+            worst = max(worst, moves / best if best else 1.0)
+    assert (yes, shortest) == (172, 670)
+    assert total <= 1084
+    assert worst <= 7.0
